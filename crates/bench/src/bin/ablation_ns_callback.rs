@@ -55,7 +55,7 @@ fn run(poll: Option<SimDuration>, lwgs: u64) -> Outcome {
                 LwgNode::builder(NodeId(2 + i))
                     .servers(servers.clone())
                     .config(cfg.clone())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })

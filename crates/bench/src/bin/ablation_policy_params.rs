@@ -47,7 +47,7 @@ fn run(k_m: u32, k_c: u32) -> (u64, bool) {
                 LwgNode::builder(NodeId(2 + i))
                     .servers(servers.clone())
                     .config(cfg.clone())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })

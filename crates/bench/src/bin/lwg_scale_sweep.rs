@@ -140,7 +140,7 @@ fn setup(rebalance: bool) -> (World, NodeId) {
         Node::builder(NodeId(1))
             .servers([server])
             .config(cfg(rebalance))
-            .build()
+            .build_node()
             .expect("valid sweep config"),
     ));
     for slot in 0..HWGS {

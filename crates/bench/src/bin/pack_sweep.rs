@@ -111,7 +111,7 @@ fn run(groups: usize, cfg: &Cfg, seed: u64) -> Row {
                 LwgNode::builder(NodeId(2 + i))
                     .servers(servers.clone())
                     .config(lwg_cfg.clone())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })

@@ -41,7 +41,7 @@ fn main() {
                 LwgNode::builder(NodeId(2 + i))
                     .servers(servers.clone())
                     .config(LwgConfig::default())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })

@@ -51,7 +51,7 @@ fn main() {
                 LwgNode::builder(NodeId(2 + i))
                     .servers(servers.clone())
                     .config(cfg.clone())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })

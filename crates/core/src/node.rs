@@ -5,7 +5,7 @@
 //! custom reaction logic) or use [`LwgNode`] and subscribe to its upcall
 //! stream via [`LwgNode::events`].
 
-use crate::config::LwgConfig;
+use crate::builder::LwgBuilder;
 use crate::events::LwgEvents;
 use crate::service::LwgService;
 use plwg_hwg::{HwgSubstrate, View};
@@ -16,14 +16,42 @@ use std::any::Any;
 /// A simulated node running the LWG service over substrate `S`, recording
 /// all upcalls into a drainable [`LwgEvents`] stream.
 ///
-/// ```ignore
-/// for ev in world.node_as::<LwgNode<VsyncStack>>(n1).events().drain() {
+/// ```
+/// use plwg_core::{LwgEvent, LwgId, LwgNode};
+/// use plwg_naming::{NameServer, NamingConfig};
+/// use plwg_sim::{Frame, NodeId, SimDuration, World, WorldConfig};
+/// use plwg_vsync::VsyncStack;
+///
+/// type Node = LwgNode<VsyncStack>;
+/// let mut world = World::new(WorldConfig::default());
+/// let ns = world.add_node(Box::new(NameServer::new(
+///     NodeId(0),
+///     vec![],
+///     NamingConfig::default(),
+/// )));
+/// let node = Node::builder(NodeId(1)).servers([ns]).build_node().unwrap();
+/// let a = world.add_node(Box::new(node));
+/// let g = LwgId(7);
+/// world.invoke(a, |n: &mut Node, ctx| n.service().join(ctx, g));
+/// world.run_for(SimDuration::from_secs(5));
+/// world.invoke(a, |n: &mut Node, ctx| {
+///     n.service().send(ctx, g, Frame::from_u64(42))
+/// });
+/// world.run_for(SimDuration::from_secs(1));
+///
+/// // Consume the upcalls recorded since the previous drain…
+/// for ev in world.invoke(a, |n: &mut Node, _| n.events().drain()) {
 ///     match ev {
-///         LwgEvent::Data { lwg, src, data } => { /* ... */ }
-///         LwgEvent::View { lwg, view } => { /* ... */ }
-///         LwgEvent::Left { lwg } => { /* ... */ }
+///         LwgEvent::Data { lwg, src, data } => {
+///             assert_eq!((lwg, src, data.try_u64()), (g, a, Some(42)));
+///         }
+///         LwgEvent::View { view, .. } => assert!(view.contains(a)),
+///         LwgEvent::Left { .. } => unreachable!("never left"),
 ///     }
 /// }
+/// // …or read the full history without consuming it.
+/// let got = world.inspect(a, |n: &Node| n.events_ref().data_from(g, a));
+/// assert_eq!(got, vec![42]);
 /// ```
 pub struct LwgNode<S: HwgSubstrate> {
     service: LwgService<S>,
@@ -33,7 +61,7 @@ pub struct LwgNode<S: HwgSubstrate> {
 impl<S: HwgSubstrate> LwgNode<S> {
     /// Starts building a node for `me`: set the name servers (and
     /// optionally a config or pre-built substrate), then call
-    /// [`crate::LwgNodeBuilder::build`]:
+    /// [`LwgBuilder::build_node`]:
     ///
     /// ```
     /// use plwg_core::{LwgConfig, LwgNode, ScriptedHwg};
@@ -42,29 +70,12 @@ impl<S: HwgSubstrate> LwgNode<S> {
     /// let node: LwgNode<ScriptedHwg> = LwgNode::builder(NodeId(1))
     ///     .servers([NodeId(0)])
     ///     .config(LwgConfig::default())
-    ///     .build()
+    ///     .build_node()
     ///     .expect("valid config");
     /// # let _ = node;
     /// ```
-    pub fn builder(me: NodeId) -> crate::LwgNodeBuilder<S> {
-        crate::LwgNodeBuilder::new(me)
-    }
-
-    /// Creates a node for `me`, using the given name servers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid or `servers` is empty.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `LwgNode::builder(me).servers(..).config(cfg).build()`"
-    )]
-    pub fn new(me: NodeId, servers: Vec<NodeId>, cfg: LwgConfig) -> Self {
-        Self::builder(me)
-            .servers(servers)
-            .config(cfg)
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"))
+    pub fn builder(me: NodeId) -> LwgBuilder<S> {
+        LwgBuilder::new(me)
     }
 
     pub(crate) fn from_service(service: LwgService<S>, events: LwgEvents) -> Self {

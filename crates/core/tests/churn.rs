@@ -36,7 +36,7 @@ fn build(seed: u64, apps: u32) -> (World, Vec<NodeId>, Vec<NodeId>) {
                 LwgNode::builder(NodeId(2 + i))
                     .servers(servers.clone())
                     .config(LwgConfig::default())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })

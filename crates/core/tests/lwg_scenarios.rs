@@ -54,7 +54,7 @@ fn setup_cfg(n: u32, seed: u64, cfg: LwgConfig) -> (World, Vec<NodeId>, Vec<Node
                 LwgNode::builder(NodeId(2 + i))
                     .servers(servers.clone())
                     .config(cfg.clone())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })
@@ -523,7 +523,7 @@ fn polling_mode_reconciles_without_callbacks() {
                 LwgNode::builder(NodeId(2 + i))
                     .servers(servers.clone())
                     .config(cfg.clone())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })
@@ -597,7 +597,7 @@ fn stale_mapping_join_is_redirected_by_forward_pointer() {
                 LwgNode::builder(NodeId(2 + i))
                     .servers(servers.clone())
                     .config(cfg.clone())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })

@@ -51,7 +51,7 @@ fn setup() -> (World, NodeId) {
         Node::builder(NodeId(1))
             .servers([server])
             .config(cfg())
-            .build()
+            .build_node()
             .expect("valid rebalance config"),
     ));
     (w, app)

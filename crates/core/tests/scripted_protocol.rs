@@ -63,7 +63,7 @@ fn setup_cfg(n: u32, cfg: LwgConfig) -> (World, Vec<NodeId>) {
                 Node::builder(NodeId(1 + i))
                     .servers([server])
                     .config(cfg.clone())
-                    .build()
+                    .build_node()
                     .expect("valid protocol config"),
             ))
         })

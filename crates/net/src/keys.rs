@@ -10,6 +10,9 @@ use plwg_sim::{CounterKey, GaugeKey};
 pub const NETIO_DGRAM_TX: CounterKey = CounterKey::new("netio.dgram_tx");
 /// Datagrams received and successfully unpacked.
 pub const NETIO_DGRAM_RX: CounterKey = CounterKey::new("netio.dgram_rx");
+/// Received datagrams that failed to unpack, plus transport-family frames
+/// that failed to decode; both are dropped.
+pub const NETIO_DECODE_ERRORS: CounterKey = CounterKey::new("netio.decode_errors");
 /// Encoded datagram bytes put on the wire.
 pub const NETIO_BYTES_TX: CounterKey = CounterKey::new("netio.bytes_tx");
 /// Frames dropped by per-peer send-queue backpressure.

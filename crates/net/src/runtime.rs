@@ -23,7 +23,8 @@
 use crate::clock::WallClock;
 use crate::events::NetEvent;
 use crate::keys::{
-    NETIO_BYTES_TX, NETIO_DGRAM_RX, NETIO_DGRAM_TX, NETIO_PEERS_UP, NETIO_QUEUE_DROPPED,
+    NETIO_BYTES_TX, NETIO_DECODE_ERRORS, NETIO_DGRAM_RX, NETIO_DGRAM_TX, NETIO_PEERS_UP,
+    NETIO_QUEUE_DROPPED,
 };
 use crate::msg::{net_frame, pack_datagram, unpack_datagram, NetMsg};
 use crate::peer::{NetOptions, PeerPool, PeerState, PoolAction};
@@ -259,6 +260,7 @@ impl NetRuntime {
 
     fn on_datagram(&mut self, p: &mut dyn Process, buf: &[u8], addr: SocketAddr) {
         let Ok((from, frames)) = unpack_datagram(buf) else {
+            self.metrics.incr(NETIO_DECODE_ERRORS);
             return;
         };
         if self.blocked.contains(&from) {
@@ -276,8 +278,9 @@ impl NetRuntime {
         }
         for frame in frames {
             if peek_family(&frame) == Some(family::NET) {
-                if let Ok(msg) = plwg_sim::decode_frame::<NetMsg>(family::NET, &frame) {
-                    self.on_net_msg(from, msg);
+                match plwg_sim::decode_frame::<NetMsg>(family::NET, &frame) {
+                    Ok(msg) => self.on_net_msg(from, msg),
+                    Err(_) => self.metrics.incr(NETIO_DECODE_ERRORS),
                 }
             } else {
                 p.on_message(self, from, frame);

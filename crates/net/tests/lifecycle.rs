@@ -6,9 +6,10 @@
 //! `NetEvent` kind — `net.peer.up`, `net.peer.down`, `net.queue.drop`,
 //! `net.ctrl.block`, `net.ctrl.unblock` — is asserted on here.
 
-use plwg_net::keys::{NETIO_DGRAM_RX, NETIO_DGRAM_TX, NETIO_QUEUE_DROPPED};
-use plwg_net::{NetOptions, NetRuntime, PeerState};
-use plwg_sim::{NodeId, Payload, Process, SimDuration, Transport};
+use plwg_net::keys::{NETIO_DECODE_ERRORS, NETIO_DGRAM_RX, NETIO_DGRAM_TX, NETIO_QUEUE_DROPPED};
+use plwg_net::{pack_datagram, NetOptions, NetRuntime, PeerState};
+use plwg_sim::{family, Frame, NodeId, Payload, Process, SimDuration, Transport};
+use std::net::UdpSocket;
 
 /// A process that records payload bytes and answers nothing.
 struct Sink {
@@ -166,4 +167,38 @@ fn bye_is_faster_than_the_suspect_timeout() {
         .trace_ref()
         .of_kind("net.peer.down")
         .any(|e| e.detail.contains("n1")));
+}
+
+/// Sends `bytes` to `rt` from a raw socket and runs `rt` long enough to
+/// read them.
+fn inject(rt: &mut NetRuntime, p: &mut Sink, bytes: &[u8]) {
+    let raw = UdpSocket::bind("127.0.0.1:0").expect("bind raw");
+    raw.send_to(bytes, rt.local_addr().expect("addr"))
+        .expect("send raw");
+    rt.run_for(p, SimDuration::from_millis(30));
+}
+
+#[test]
+fn undecodable_datagram_is_counted_and_dropped() {
+    let mut a = NetRuntime::bind(NodeId(1), "127.0.0.1:0", NetOptions::default()).expect("bind");
+    let mut pa = Sink::new();
+    // A truncated sender varint: the datagram does not unpack.
+    inject(&mut a, &mut pa, &[0xFF; 4]);
+    assert_eq!(a.registry().counter(NETIO_DECODE_ERRORS), 1);
+    assert_eq!(a.registry().counter(NETIO_DGRAM_RX), 0);
+    assert!(pa.got.is_empty(), "garbage reached the process");
+}
+
+#[test]
+fn undecodable_transport_frame_is_counted_and_its_neighbours_delivered() {
+    let mut a = NetRuntime::bind(NodeId(1), "127.0.0.1:0", NetOptions::default()).expect("bind");
+    let mut pa = Sink::new();
+    // A well-formed datagram carrying a NET-family frame with an unknown
+    // message tag, followed by an ordinary application frame.
+    let bad = Frame::copy_from_slice(&[family::NET as u8, 0x7F]);
+    let app = Frame::copy_from_slice(b"app");
+    inject(&mut a, &mut pa, &pack_datagram(NodeId(9), &[bad, app]));
+    assert_eq!(a.registry().counter(NETIO_DECODE_ERRORS), 1);
+    assert_eq!(a.registry().counter(NETIO_DGRAM_RX), 1);
+    assert_eq!(pa.got, vec![b"app".to_vec()]);
 }

@@ -38,14 +38,14 @@ pub fn quickstart() -> World {
         Node::builder(NodeId(1))
             .servers(vec![ns])
             .config(LwgConfig::default())
-            .build()
+            .build_node()
             .expect("valid LWG config"),
     ));
     let b = world.add_node(Box::new(
         Node::builder(NodeId(2))
             .servers(vec![ns])
             .config(LwgConfig::default())
-            .build()
+            .build_node()
             .expect("valid LWG config"),
     ));
     let g = LwgId(7);
@@ -87,7 +87,7 @@ pub fn heal() -> World {
                 Node::builder(NodeId(i))
                     .servers(vec![s0, s1])
                     .config(LwgConfig::default())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })
@@ -131,7 +131,7 @@ pub fn churn() -> World {
                 Node::builder(NodeId(i))
                     .servers(vec![ns])
                     .config(LwgConfig::default())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })

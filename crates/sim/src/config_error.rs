@@ -3,8 +3,9 @@
 //! Every `plwg-*` crate with a config struct (`HwgConfig`, `NamingConfig`,
 //! `LwgConfig`, the net runtime's tunables) exposes a
 //! `validate() -> Result<(), ConfigError>` that names the offending field
-//! and why it is rejected. Builders surface the error instead of
-//! panicking; the deprecated panicking constructors wrap it in `expect`.
+//! and why it is rejected. Builders return the error; constructors that
+//! take a config directly (such as `plwg_vsync::VsyncStack::new`) panic
+//! with its message.
 
 use std::fmt;
 

@@ -6,7 +6,8 @@
 
 use crate::metrics::{CounterKey, HistogramKey};
 
-/// Messages handed to the network model by [`crate::Context::send`].
+/// Messages handed to the network model by a simulated node's
+/// [`crate::Transport::send`].
 pub const NET_SENT: CounterKey = CounterKey::new("net.sent");
 /// Messages delivered to a live, reachable process.
 pub const NET_DELIVERED: CounterKey = CounterKey::new("net.delivered");

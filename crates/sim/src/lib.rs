@@ -9,7 +9,7 @@
 //!
 //! The simulator replaces the paper's physical testbed (Horus on SPARC
 //! workstations over 10 Mbps Ethernet). Protocol code written against the
-//! [`Process`] trait and [`Context`] handle is oblivious to the fact that it
+//! [`Process`] and [`Transport`] traits is oblivious to the fact that it
 //! runs in virtual time.
 //!
 //! ## Quick tour
@@ -63,11 +63,10 @@ pub use config_error::ConfigError;
 pub use driver::{Driver, Endpoint};
 pub use event::{EventQueue, QueuedEvent};
 pub use metrics::{
-    CounterKey, GaugeKey, Histogram, HistogramKey, HistogramSummary, MetricLabels, Metrics,
-    MetricsRegistry,
+    CounterKey, GaugeKey, Histogram, HistogramKey, HistogramSummary, MetricsRegistry,
 };
 pub use net::{DeliveryDecision, NetConfig};
-pub use node::{Context, NodeId, Payload, Process, TimerToken};
+pub use node::{NodeId, Payload, Process, TimerToken};
 pub use plwg_wire::{
     decode_frame, encode_frame, family, peek_family, Decode, Encode, Frame, Reader, WireError,
 };

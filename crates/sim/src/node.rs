@@ -1,24 +1,21 @@
-//! Processes and the [`Context`] through which they act on the world.
+//! Processes and the simulator's [`Transport`] through which they act on
+//! the world.
 //!
 //! Every protocol participant (a group-communication endpoint, a name
 //! server, an application process) implements [`Process`]. The simulator
-//! invokes its callbacks with a [`Context`] that provides the only
-//! side-effects a process may have: sending messages, arming timers,
-//! drawing randomness, and recording trace/metric events.
-//!
-//! Deliberately **absent** from [`Context`] is any oracle about the network:
-//! a process cannot ask "is node X reachable?" — it must discover failures
-//! and partitions the way the paper's protocols do, through timeouts and
-//! message exchange.
+//! invokes its callbacks with a `&mut dyn Transport` that provides the only
+//! side-effects a process may have: sending messages, arming timers, and
+//! recording trace/metric events (see [`Transport`] for what is
+//! deliberately absent).
 
 use crate::event::{EventKind, EventQueue};
 use crate::keys;
 use crate::metrics::MetricsRegistry;
-use crate::net::NetConfig;
+use crate::net::{DeliveryDecision, NetConfig};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use crate::trace::{ProtocolEvent, Trace};
+use crate::trace::Trace;
 use crate::transport::Transport;
 use plwg_wire::{Decode, Encode, Frame, Reader, WireError};
 use std::any::Any;
@@ -57,7 +54,7 @@ impl Decode for NodeId {
 /// An opaque, process-chosen timer identifier.
 ///
 /// Each token names a *slot*: re-arming a token that is already pending
-/// reschedules it, and [`Context::cancel_timer`] disarms it. Protocols that
+/// reschedules it, and [`Transport::cancel_timer`] disarms it. Protocols that
 /// need many concurrent timers use distinct tokens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerToken(pub u64);
@@ -74,8 +71,8 @@ pub type Payload = Frame;
 /// A process: the unit of computation placed on a node.
 ///
 /// Callbacks act on the world through the [`Transport`] seam, so the same
-/// process runs on a simulated node ([`crate::World::add_node`], where the
-/// transport is a [`Context`]) or on a real-socket runtime (`plwg-net`).
+/// process runs on a simulated node ([`crate::World::add_node`]) or on a
+/// real-socket runtime (`plwg-net`).
 /// All callbacks run to completion atomically — both runtimes are
 /// single-threaded per node — so state machines need no internal locking.
 pub trait Process: 'static {
@@ -93,8 +90,8 @@ pub trait Process: 'static {
         let _ = (ctx, token);
     }
 
-    /// Called when the node crashes. No [`Context`] is available: a crashed
-    /// process can have no further effects.
+    /// Called when the node crashes. No [`Transport`] is available: a
+    /// crashed process can have no further effects.
     fn on_crash(&mut self, now: SimTime) {
         let _ = now;
     }
@@ -105,11 +102,10 @@ pub trait Process: 'static {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// The handle through which a process interacts with the simulated world.
-///
-/// A `Context` is only ever lent to a process for the duration of one
-/// callback.
-pub struct Context<'a> {
+/// The simulator's [`Transport`]: the handle through which a process acts
+/// on the simulated world. Lent to a process for the duration of one
+/// callback, always as `&mut dyn Transport`.
+pub(crate) struct Context<'a> {
     pub(crate) now: SimTime,
     pub(crate) self_id: NodeId,
     pub(crate) queue: &'a mut EventQueue,
@@ -122,33 +118,25 @@ pub struct Context<'a> {
     pub(crate) alive: &'a [bool],
 }
 
-impl<'a> Context<'a> {
-    /// The current virtual time.
-    pub fn now(&self) -> SimTime {
+impl Transport for Context<'_> {
+    fn now(&self) -> SimTime {
         self.now
     }
 
-    /// The node this process runs on.
-    pub fn id(&self) -> NodeId {
+    fn id(&self) -> NodeId {
         self.self_id
     }
 
-    /// Number of nodes in the world (node ids are `0..num_nodes`).
-    pub fn num_nodes(&self) -> usize {
-        self.alive.len()
-    }
-
-    /// Sends `msg` to `to`. Delivery is subject to the network model: the
-    /// message may be dropped (loss, partition) and arrives after a sampled
-    /// latency. Sending to self is allowed and goes through the same model.
-    pub fn send(&mut self, to: NodeId, msg: Payload) {
+    /// Subject to the network model: the message may be dropped (loss,
+    /// partition) and arrives after a sampled latency. Sending to self is
+    /// allowed and goes through the same model.
+    fn send(&mut self, to: NodeId, msg: Payload) {
         self.metrics.incr(keys::NET_SENT);
         self.metrics.add(keys::NET_BYTES_SENT, msg.len() as u64);
         self.metrics
             .observe(keys::NET_FRAME_BYTES, msg.len() as u64);
-        let decision = self.net.decide(self.topology, self.rng, self.self_id, to);
-        match decision {
-            crate::net::DeliveryDecision::Deliver(latency) => {
+        match self.net.decide(self.topology, self.rng, self.self_id, to) {
+            DeliveryDecision::Deliver(latency) => {
                 self.queue.push(
                     self.now + latency,
                     EventKind::Deliver {
@@ -158,17 +146,15 @@ impl<'a> Context<'a> {
                     },
                 );
             }
-            crate::net::DeliveryDecision::Drop => {
+            DeliveryDecision::Drop => {
                 self.metrics.incr(keys::NET_DROPPED);
             }
         }
     }
 
-    /// Broadcasts `msg` on the physical network (the stand-in for the
-    /// paper's IP-multicast probes and beacons). Every *other* node receives
-    /// an independent copy subject to the network model; partitioned nodes
-    /// never receive it.
-    pub fn broadcast(&mut self, msg: Payload) {
+    /// Every *other* node of the world receives an independent copy
+    /// subject to the network model; partitioned nodes never receive it.
+    fn broadcast(&mut self, msg: Payload) {
         for i in 0..self.alive.len() {
             let to = NodeId(i as u32);
             if to != self.self_id {
@@ -177,8 +163,7 @@ impl<'a> Context<'a> {
         }
     }
 
-    /// Arms (or re-arms) the timer slot `token` to fire after `delay`.
-    pub fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
+    fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
         let slot = self.timer_slots.entry((self.self_id, token)).or_insert(0);
         *slot += 1;
         self.queue.push(
@@ -191,59 +176,10 @@ impl<'a> Context<'a> {
         );
     }
 
-    /// Disarms the timer slot `token`; a no-op if it is not pending.
-    pub fn cancel_timer(&mut self, token: TimerToken) {
+    fn cancel_timer(&mut self, token: TimerToken) {
         if let Some(slot) = self.timer_slots.get_mut(&(self.self_id, token)) {
             *slot += 1;
         }
-    }
-
-    /// Deterministic randomness for protocol-level choices.
-    pub fn rng(&mut self) -> &mut SimRng {
-        self.rng
-    }
-
-    /// Records a typed protocol trace event attributed to this node.
-    ///
-    /// The closure producing the event is only evaluated when tracing is
-    /// enabled, so disabled (benchmark) runs pay a single branch.
-    pub fn emit<E: ProtocolEvent>(&mut self, event: impl FnOnce() -> E) {
-        let node = self.self_id;
-        let now = self.now;
-        self.trace.record(now, Some(node), event);
-    }
-
-    /// The world's metric registry (counters, gauges and histograms).
-    pub fn metrics(&mut self) -> &mut MetricsRegistry {
-        self.metrics
-    }
-}
-
-/// A [`Context`] is the simulator's [`Transport`]: protocol code written
-/// against `&mut dyn Transport` runs on a simulated node unchanged.
-impl Transport for Context<'_> {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn id(&self) -> NodeId {
-        self.self_id
-    }
-
-    fn send(&mut self, to: NodeId, msg: Payload) {
-        Context::send(self, to, msg);
-    }
-
-    fn broadcast(&mut self, msg: Payload) {
-        Context::broadcast(self, msg);
-    }
-
-    fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
-        Context::set_timer(self, delay, token);
-    }
-
-    fn cancel_timer(&mut self, token: TimerToken) {
-        Context::cancel_timer(self, token);
     }
 
     fn metrics(&mut self) -> &mut MetricsRegistry {

@@ -7,8 +7,9 @@
 //! [`Transport`] is that surface as an object-safe trait, so the *same*
 //! protocol code runs over two very different runtimes:
 //!
-//! * [`crate::Context`] — the deterministic discrete-event simulator
-//!   (virtual time, modelled loss and partitions);
+//! * [`crate::World`] — the deterministic discrete-event simulator
+//!   (virtual time, modelled loss and partitions), which lends each
+//!   simulated node a private implementation for one callback;
 //! * `plwg_net::NetRuntime` — a poll-based reactor over real non-blocking
 //!   UDP sockets (wall-clock time, real loss and real partitions).
 //!
@@ -17,10 +18,9 @@
 //! runs unchanged over the simulator and over Horus") and that the
 //! multi-process partition-heal example demonstrates end-to-end.
 //!
-//! Deliberately **absent**, exactly as on [`crate::Context`]: any oracle
-//! about the network. A protocol cannot ask "is node X reachable?" — it
-//! discovers failures the way the paper's protocols do, through timeouts
-//! and message exchange. Also absent is ambient randomness: protocol
+//! Deliberately **absent**: any oracle about the network. A protocol
+//! cannot ask "is node X reachable?" — it discovers failures the way the
+//! paper's protocols do, through timeouts and message exchange. Also absent is ambient randomness: protocol
 //! state machines are deterministic functions of their inputs.
 
 use crate::metrics::MetricsRegistry;
@@ -30,9 +30,10 @@ use crate::trace::{ProtocolEvent, Trace};
 
 /// The action surface lent to a protocol endpoint for one callback.
 ///
-/// Implementations: [`crate::Context`] (simulator, virtual time) and the
-/// real-socket runtime in `plwg-net` (wall-clock time). See the module
-/// docs for the contract both uphold.
+/// Implementations: the simulator's per-callback handle (lent by
+/// [`crate::World`], virtual time) and the real-socket runtime in
+/// `plwg-net` (wall-clock time). See the module docs for the contract both
+/// uphold.
 pub trait Transport {
     /// The current protocol time: virtual on the simulator, wall-clock
     /// micros since runtime start on a real network (see

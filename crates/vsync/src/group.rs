@@ -256,67 +256,27 @@ impl GroupEndpoint {
     // Down-calls
     // ------------------------------------------------------------------
 
-    /// Sends a virtually-synchronous multicast.
+    /// Sends a virtually-synchronous multicast, delivered to every member
+    /// or — with `targets` (interference-aware subset delivery) — only to
+    /// the members in that set.
     ///
-    /// The sender's own copy is delivered synchronously (it is part of the
-    /// sender's flush digest), so a message sent in response to a `Stop`
-    /// upcall — before the owner confirms with `stop_ok` — is still covered
-    /// by the closing view's flush. Sends after the digest went out are
-    /// buffered and released in the next view.
+    /// Members outside `targets` receive a same-sequence [`Slot::Skip`]
+    /// marker instead of the payload: the marker occupies the FIFO slot —
+    /// so gap detection, stability, and flush digests are untouched — but
+    /// is consumed by the receiving endpoint without an upcall.
+    ///
+    /// The sender's own copy is the real payload whatever `targets` says
+    /// (so NACK retransmissions always serve the real message) and is
+    /// delivered synchronously: it is part of the sender's flush digest, so
+    /// a message sent in response to a `Stop` upcall — before the owner
+    /// confirms with `stop_ok` — is still covered by the closing view's
+    /// flush. Sends after the digest went out are buffered and released in
+    /// the next view as full multicasts (the subset is an optimisation,
+    /// never required for correctness).
     pub(crate) fn send_payload(
         &mut self,
         ctx: &mut dyn Transport,
-        data: Payload,
-        events: &mut Vec<VsEvent>,
-    ) {
-        if self.status == GroupStatus::Left {
-            return;
-        }
-        let digest_out = self.flush.as_ref().is_some_and(|f| f.digest_sent);
-        if self.view.is_none() || digest_out {
-            self.pending_send.push(data);
-            return;
-        }
-        self.send_seq += 1;
-        let view = self.view.as_ref().expect("checked above");
-        let view_members: Vec<NodeId> = view
-            .members
-            .iter()
-            .copied()
-            .filter(|&m| m != self.me)
-            .collect();
-        // Encoded once; every receiver copy shares this one allocation.
-        let frame = wire::frame(&VsMsg::Data {
-            hwg: self.hwg,
-            view_id: view.id,
-            sender: self.me,
-            seq: self.send_seq,
-            payload: Slot::Full(data.clone()),
-        });
-        ctx.metrics().incr(keys::DATA_SENT);
-        ctx.metrics().add(keys::BYTES_MULTICAST, data.len() as u64);
-        self.multicast(ctx, &view_members, &frame);
-        // Synchronous self-delivery.
-        self.holdback
-            .insert((self.me, self.send_seq), Slot::Full(data));
-        self.try_drain(ctx, events);
-    }
-
-    /// Sends a virtually-synchronous multicast delivered only to `targets`
-    /// (interference-aware subset delivery). Members outside the target set
-    /// receive a same-sequence [`Slot::Skip`] marker instead of the
-    /// payload: the marker occupies the FIFO slot — so gap detection,
-    /// stability, and flush digests are untouched — but is consumed by the
-    /// receiving endpoint without an upcall.
-    ///
-    /// The sender always keeps (and delivers) the real payload regardless
-    /// of `targets`, so NACK retransmissions always serve the real message.
-    /// Sends while flushing fall back to buffered *full* multicasts (the
-    /// subset is an optimisation, never required for correctness).
-    pub(crate) fn send_payload_to(
-        &mut self,
-        ctx: &mut dyn Transport,
-        targets: &BTreeSet<NodeId>,
+        targets: Option<&BTreeSet<NodeId>>,
         data: Payload,
         events: &mut Vec<VsEvent>,
     ) {
@@ -331,38 +291,37 @@ impl GroupEndpoint {
         self.send_seq += 1;
         let seq = self.send_seq;
         let view = self.view.as_ref().expect("checked above");
-        // Two frames per subset multicast — the real payload and the thin
-        // marker — each encoded once and refcount-shared by its receivers.
-        let real = wire::frame(&VsMsg::Data {
-            hwg: self.hwg,
-            view_id: view.id,
-            sender: self.me,
-            seq,
-            payload: Slot::Full(data.clone()),
-        });
-        let marker = wire::frame(&VsMsg::Data {
-            hwg: self.hwg,
-            view_id: view.id,
-            sender: self.me,
-            seq,
-            payload: Slot::Skip,
-        });
+        let frame = |payload| {
+            wire::frame(&VsMsg::Data {
+                hwg: self.hwg,
+                view_id: view.id,
+                sender: self.me,
+                seq,
+                payload,
+            })
+        };
+        // Each frame is encoded once; every receiver copy shares it.
+        let real = frame(Slot::Full(data.clone()));
+        let subset = targets.map(|t| (t, frame(Slot::Skip)));
         let mut trimmed = 0u64;
         for &m in &view.members {
             if m == self.me {
                 continue;
             }
-            if targets.contains(&m) {
-                ctx.send(m, real.clone());
-            } else {
-                ctx.send(m, marker.clone());
-                trimmed += 1;
+            match &subset {
+                Some((targets, marker)) if !targets.contains(&m) => {
+                    ctx.send(m, marker.clone());
+                    trimmed += 1;
+                }
+                _ => ctx.send(m, real.clone()),
             }
         }
         ctx.metrics().incr(keys::DATA_SENT);
         ctx.metrics().add(keys::BYTES_MULTICAST, data.len() as u64);
-        ctx.metrics().incr(keys::SUBSET_SENDS);
-        ctx.metrics().add(keys::SUBSET_TRIMMED, trimmed);
+        if targets.is_some() {
+            ctx.metrics().incr(keys::SUBSET_SENDS);
+            ctx.metrics().add(keys::SUBSET_TRIMMED, trimmed);
+        }
         self.holdback.insert((self.me, seq), Slot::Full(data));
         self.try_drain(ctx, events);
     }
@@ -1318,7 +1277,7 @@ impl GroupEndpoint {
         // Release sends buffered during the change.
         let pending = std::mem::take(&mut self.pending_send);
         for data in pending {
-            self.send_payload(ctx, data, events);
+            self.send_payload(ctx, None, data, events);
         }
     }
 

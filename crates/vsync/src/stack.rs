@@ -21,14 +21,40 @@ const TOK_BEACON: TimerToken = TimerToken(0x0100_0000_0000_0002);
 
 /// One node's HWG protocol stack.
 ///
-/// The owner (a [`plwg_sim::Process`]) must forward messages and timers:
+/// The owning [`plwg_sim::Process`] must forward messages and timers and
+/// drain the upcalls; [`plwg_sim::Driver`] does exactly that:
 ///
-/// ```ignore
-/// fn on_message(&mut self, ctx, from, msg) {
-///     if self.stack.on_message(ctx, from, &msg) {
-///         for ev in self.stack.drain_events() { /* handle upcalls */ }
-///     }
-/// }
+/// ```
+/// use plwg_sim::{Driver, Frame, NodeId, SimDuration, World, WorldConfig};
+/// use plwg_vsync::{HwgId, VsEvent, VsyncConfig, VsyncStack};
+///
+/// type Node = Driver<VsyncStack>;
+/// let mut world = World::new(WorldConfig::default());
+/// let nodes: Vec<NodeId> = (0..2)
+///     .map(|i| {
+///         let stack = VsyncStack::new(NodeId(i), VsyncConfig::default());
+///         world.add_node(Box::new(Node::new(stack)))
+///     })
+///     .collect();
+/// let g = HwgId(1);
+/// world.invoke(nodes[0], |d: &mut Node, ctx| d.endpoint_mut().create(ctx, g));
+/// world.invoke(nodes[1], |d: &mut Node, ctx| d.endpoint_mut().join(ctx, g));
+/// world.run_for(SimDuration::from_secs(5));
+/// world.invoke(nodes[1], |d: &mut Node, ctx| {
+///     d.endpoint_mut().send(ctx, g, Frame::from_u64(7))
+/// });
+/// world.run_for(SimDuration::from_secs(1));
+///
+/// let got: Vec<u64> = world.inspect(nodes[0], |d: &Node| {
+///     d.events()
+///         .iter()
+///         .filter_map(|ev| match ev {
+///             VsEvent::Data { data, .. } => data.try_u64(),
+///             _ => None,
+///         })
+///         .collect()
+/// });
+/// assert_eq!(got, vec![7]);
 /// ```
 pub struct VsyncStack {
     me: NodeId,
@@ -117,7 +143,7 @@ impl VsyncStack {
     /// and sent in the next view. Silently ignored if not a member.
     pub fn send(&mut self, ctx: &mut dyn Transport, hwg: HwgId, data: Payload) {
         if let Some(ep) = self.groups.get_mut(&hwg) {
-            ep.send_payload(ctx, data, &mut self.events);
+            ep.send_payload(ctx, None, data, &mut self.events);
         }
     }
 
@@ -137,7 +163,7 @@ impl VsyncStack {
         data: Payload,
     ) {
         if let Some(ep) = self.groups.get_mut(&hwg) {
-            ep.send_payload_to(ctx, targets, data, &mut self.events);
+            ep.send_payload(ctx, Some(targets), data, &mut self.events);
         }
     }
 

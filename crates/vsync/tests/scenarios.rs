@@ -200,6 +200,51 @@ fn interleaved_senders_keep_per_sender_fifo() {
 }
 
 #[test]
+fn subset_sends_interleave_with_full_sends_in_fifo_order() {
+    use plwg_vsync::keys::{DATA_SENT, SUBSET_SENDS, SUBSET_TRIMMED};
+    use std::collections::BTreeSet;
+    let (mut w, nodes) = world_with(4, 15);
+    bring_up(&mut w, &nodes);
+    assert_common_view(&mut w, &nodes, 4);
+    w.metrics_mut().reset();
+    let (sender, target) = (nodes[1], nodes[2]);
+    // Every third message goes to `target` only.
+    let subset = |i: u64| i.is_multiple_of(3);
+    w.invoke(sender, move |a: &mut App, ctx| {
+        let only_target = BTreeSet::from([target]);
+        for i in 0..12u64 {
+            if subset(i) {
+                a.stack.send_to(ctx, G, &only_target, payload(i));
+            } else {
+                a.stack.send(ctx, G, payload(i));
+            }
+        }
+    });
+    w.run_for(secs(2));
+    for &n in &nodes {
+        let got: Vec<u64> = w.inspect(n, |a: &App| {
+            a.delivered
+                .iter()
+                .filter(|(h, s, _)| *h == G && *s == sender)
+                .map(|(_, _, v)| *v)
+                .collect()
+        });
+        // The sender and the target see everything; the other members
+        // see only the full sends — in sending order either way.
+        let expect: Vec<u64> = (0..12)
+            .filter(|&i| n == sender || n == target || !subset(i))
+            .collect();
+        assert_eq!(got, expect, "deliveries at {n}");
+    }
+    let m = w.metrics();
+    assert_eq!(m.counter(DATA_SENT), 12);
+    assert_eq!(m.counter(SUBSET_SENDS), 4);
+    // Each subset send trims the two members that are neither the sender
+    // nor the target.
+    assert_eq!(m.counter(SUBSET_TRIMMED), 8);
+}
+
+#[test]
 fn crash_is_excluded_from_next_view() {
     let (mut w, nodes) = world_with(4, 12);
     bring_up(&mut w, &nodes);

@@ -36,7 +36,7 @@ fn main() {
                 LwgNode::builder(NodeId(i))
                     .servers(vec![ns])
                     .config(cfg.clone())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })

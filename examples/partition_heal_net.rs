@@ -76,7 +76,7 @@ fn run_app(me: NodeId) {
     let mut node: NetLwgNode = plwg::core::LwgNode::builder(me)
         .servers([NS])
         .config(LwgConfig::default())
-        .build()
+        .build_node()
         .expect("valid LWG config");
     // First turn fires on_start (timers armed), then join.
     rt.run_for(&mut node, SimDuration::from_millis(20));

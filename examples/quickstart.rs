@@ -20,7 +20,7 @@ fn main() {
                 LwgNode::builder(NodeId(i))
                     .servers(vec![ns])
                     .config(LwgConfig::default())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })

@@ -61,7 +61,7 @@ fn main() {
                 LwgNode::builder(NodeId(i))
                     .servers(vec![s0, s1])
                     .config(LwgConfig::default())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })

@@ -39,10 +39,10 @@
 //!     NamingConfig::default(),
 //! )));
 //! let a = world.add_node(Box::new(
-//!     LwgNode::builder(NodeId(1)).servers([ns]).build().unwrap(),
+//!     LwgNode::builder(NodeId(1)).servers([ns]).build_node().unwrap(),
 //! ));
 //! let b = world.add_node(Box::new(
-//!     LwgNode::builder(NodeId(2)).servers([ns]).build().unwrap(),
+//!     LwgNode::builder(NodeId(2)).servers([ns]).build_node().unwrap(),
 //! ));
 //!
 //! // Both join light-weight group 7 and exchange a message.
@@ -87,7 +87,7 @@ pub mod prelude {
     pub use plwg_naming::{Mapping, NameServer, NamingConfig, NsClient, NsEvent};
     pub use plwg_net::{NetOptions, NetRuntime, NetSubstrate};
     pub use plwg_sim::{
-        Context, Frame, NodeId, Payload, Process, SimDuration, SimTime, World, WorldConfig,
+        Frame, NodeId, Payload, Process, SimDuration, SimTime, Transport, World, WorldConfig,
     };
     pub use plwg_vsync::{VsEvent, VsyncConfig, VsyncStack};
 

@@ -43,7 +43,7 @@ fn fixture_cfg(seed: u64, apps: u32, cfg: LwgConfig) -> Fixture {
                 LwgNode::builder(NodeId(2 + i))
                     .servers(servers.clone())
                     .config(cfg.clone())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })

@@ -35,7 +35,7 @@ fn lwg_streams_survive_message_loss_and_a_crash() {
                 LwgNode::builder(NodeId(2 + i))
                     .servers(vec![s0, s1])
                     .config(LwgConfig::default())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })

@@ -58,7 +58,7 @@ fn run_app(me: NodeId) {
     let mut node: NetLwgNode = plwg::core::LwgNode::builder(me)
         .servers([NS])
         .config(LwgConfig::default())
-        .build()
+        .build_node()
         .expect("valid LWG config");
     rt.run_for(&mut node, SimDuration::from_millis(20));
     node.service().join(&mut rt, GROUP);

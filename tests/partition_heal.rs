@@ -37,7 +37,7 @@ fn fixture(seed: u64, apps: u32) -> Fixture {
                 LwgNode::builder(NodeId(2 + i))
                     .servers(servers.clone())
                     .config(LwgConfig::default())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })

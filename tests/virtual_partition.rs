@@ -33,7 +33,7 @@ fn congestion_episode_splits_and_heals_lwgs() {
                 LwgNode::builder(NodeId(2 + i))
                     .servers(vec![s0, s1])
                     .config(LwgConfig::default())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })
