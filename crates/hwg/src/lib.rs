@@ -8,10 +8,15 @@
 //! seam as Rust types:
 //!
 //! * [`HwgSubstrate`] — the Table-1 contract. `plwg-vsync` implements it for
-//!   its partitionable virtually-synchronous stack; `plwg-core` provides a
-//!   second, scripted implementation for deterministic protocol tests.
+//!   its partitionable virtually-synchronous stack, which is also the
+//!   real-socket substrate (`plwg_net::NetSubstrate` *is* `VsyncStack`);
+//!   `plwg-core` provides a second, scripted implementation for
+//!   deterministic protocol tests.
 //! * [`HwgEvent`] — the up-call events (`View` / `Data` / `Stop`, plus the
 //!   `Left` completion notice).
+//! * [`Driver`] — runs any substrate as a simulated
+//!   [`Process`](plwg_sim::Process), recording its up-calls (plain virtual
+//!   synchrony on a node with no hand-written demux).
 //! * [`HwgId`], [`ViewId`], [`View`], [`GroupStatus`], [`HwgConfig`] — the
 //!   vocabulary types shared by every layer (naming service included).
 //!
@@ -23,6 +28,7 @@
 #![warn(missing_docs)]
 
 mod config;
+mod driver;
 mod events;
 mod id;
 pub mod keys;
@@ -31,6 +37,7 @@ mod view;
 mod wire;
 
 pub use config::HwgConfig;
+pub use driver::Driver;
 pub use events::{flush_key, view_key, HwgTraceEvent};
 pub use id::{FlushId, HwgId, ViewId};
 pub use substrate::{GroupStatus, HwgEvent, HwgSubstrate};

@@ -15,6 +15,11 @@ pub const NETIO_DGRAM_RX: CounterKey = CounterKey::new("netio.dgram_rx");
 pub const NETIO_DECODE_ERRORS: CounterKey = CounterKey::new("netio.decode_errors");
 /// Encoded datagram bytes put on the wire.
 pub const NETIO_BYTES_TX: CounterKey = CounterKey::new("netio.bytes_tx");
+/// Datagrams discarded by the runtime itself: sends to or receipts from a
+/// blocked peer, sends to a peer with no known address, and failed
+/// socket sends (the real-network counterpart of the simulator's
+/// `net.dropped`).
+pub const NETIO_DROPPED: CounterKey = CounterKey::new("netio.dropped");
 /// Frames dropped by per-peer send-queue backpressure.
 pub const NETIO_QUEUE_DROPPED: CounterKey = CounterKey::new("netio.queue_dropped");
 /// Peers currently in the `Up` state.

@@ -21,8 +21,8 @@
 //! * [`NetRuntime`] — the poll-based reactor that owns the socket and
 //!   timer heap and hosts any [`Process`](plwg_sim::Process): an
 //!   `LwgNode`, a `NameServer`, or both.
-//! * [`NetSubstrate`] — `VsyncStack` branded for real-network use, the
-//!   workspace's third [`HwgSubstrate`](plwg_hwg::HwgSubstrate).
+//! * [`NetSubstrate`] — the real-socket [`HwgSubstrate`](plwg_hwg::HwgSubstrate):
+//!   `VsyncStack` itself, unchanged, hosted by a [`NetRuntime`].
 //! * [`harness`] — spawn child processes, exchange address books over
 //!   stdio, inject partitions with socket-level drop filters, and merge
 //!   the children's trace events for cross-process assertions.
@@ -52,11 +52,16 @@ pub mod keys;
 mod msg;
 mod peer;
 mod runtime;
-mod substrate;
 
 pub use clock::WallClock;
 pub use events::NetEvent;
 pub use msg::{net_frame, pack_datagram, unpack_datagram, NetMsg};
 pub use peer::{NetOptions, PeerPool, PeerState, PoolAction};
 pub use runtime::NetRuntime;
-pub use substrate::NetSubstrate;
+
+/// The real vsync protocol stack over real sockets: the same type as
+/// [`plwg_vsync::VsyncStack`], hosted by a [`NetRuntime`] instead of the
+/// simulator — the same protocol code and byte-identical wire frames over a
+/// different [`Transport`](plwg_sim::Transport). Nothing in the
+/// membership/flush/merge engine knows which side of the seam it is on.
+pub type NetSubstrate = plwg_vsync::VsyncStack;

@@ -16,15 +16,16 @@
 //!
 //! Partitions, for real: the harness sends [`NetMsg::Block`] and the
 //! runtime installs a socket-level drop filter — datagrams to or from a
-//! blocked peer are discarded at this boundary, in both directions. Above
-//! the seam that is indistinguishable from a network partition, which is
-//! the point: the §6 heal protocol then runs against real packet loss.
+//! blocked peer are discarded (and counted under `netio.dropped`) at this
+//! boundary, in both directions. Above the seam that is indistinguishable
+//! from a network partition, which is the point: the §6 heal protocol then
+//! runs against real packet loss.
 
 use crate::clock::WallClock;
 use crate::events::NetEvent;
 use crate::keys::{
-    NETIO_BYTES_TX, NETIO_DECODE_ERRORS, NETIO_DGRAM_RX, NETIO_DGRAM_TX, NETIO_PEERS_UP,
-    NETIO_QUEUE_DROPPED,
+    NETIO_BYTES_TX, NETIO_DECODE_ERRORS, NETIO_DGRAM_RX, NETIO_DGRAM_TX, NETIO_DROPPED,
+    NETIO_PEERS_UP, NETIO_QUEUE_DROPPED,
 };
 use crate::msg::{net_frame, pack_datagram, unpack_datagram, NetMsg};
 use crate::peer::{NetOptions, PeerPool, PeerState, PoolAction};
@@ -147,9 +148,12 @@ impl NetRuntime {
             }
             let wait = next.saturating_since(now);
             let wait_us = wait.as_micros().clamp(1, MAX_POLL.as_micros());
-            self.socket
-                .set_read_timeout(Some(std::time::Duration::from_micros(wait_us)))
-                .expect("set_read_timeout");
+            let timeout = Some(std::time::Duration::from_micros(wait_us));
+            if self.socket.set_read_timeout(timeout).is_err() {
+                // Same pause as a transient receive error below.
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                continue;
+            }
             match self.socket.recv_from(&mut buf) {
                 Ok((n, addr)) => {
                     let dgram = buf[..n].to_vec();
@@ -245,16 +249,19 @@ impl NetRuntime {
 
     /// Puts `frames` on the wire towards `to`, applying the drop filter.
     fn transmit(&mut self, to: NodeId, frames: &[Payload]) {
-        if self.blocked.contains(&to) {
-            return;
-        }
-        let Some(&addr) = self.book.get(&to) else {
-            return;
+        let addr = match self.book.get(&to) {
+            Some(&addr) if !self.blocked.contains(&to) => addr,
+            _ => {
+                self.metrics.incr(NETIO_DROPPED);
+                return;
+            }
         };
         let dgram = pack_datagram(self.me, frames);
         if self.socket.send_to(&dgram, addr).is_ok() {
             self.metrics.incr(NETIO_DGRAM_TX);
             self.metrics.add(NETIO_BYTES_TX, dgram.len() as u64);
+        } else {
+            self.metrics.incr(NETIO_DROPPED);
         }
     }
 
@@ -264,6 +271,7 @@ impl NetRuntime {
             return;
         };
         if self.blocked.contains(&from) {
+            self.metrics.incr(NETIO_DROPPED);
             return;
         }
         self.metrics.incr(NETIO_DGRAM_RX);
@@ -326,6 +334,7 @@ impl Transport for NetRuntime {
             return;
         }
         if self.blocked.contains(&to) {
+            self.metrics.incr(NETIO_DROPPED);
             return;
         }
         if self.pool.offer(to, msg.clone()) {

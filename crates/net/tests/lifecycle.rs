@@ -6,7 +6,9 @@
 //! `NetEvent` kind — `net.peer.up`, `net.peer.down`, `net.queue.drop`,
 //! `net.ctrl.block`, `net.ctrl.unblock` — is asserted on here.
 
-use plwg_net::keys::{NETIO_DECODE_ERRORS, NETIO_DGRAM_RX, NETIO_DGRAM_TX, NETIO_QUEUE_DROPPED};
+use plwg_net::keys::{
+    NETIO_DECODE_ERRORS, NETIO_DGRAM_RX, NETIO_DGRAM_TX, NETIO_DROPPED, NETIO_QUEUE_DROPPED,
+};
 use plwg_net::{pack_datagram, NetOptions, NetRuntime, PeerState};
 use plwg_sim::{family, Frame, NodeId, Payload, Process, SimDuration, Transport};
 use std::net::UdpSocket;
@@ -130,6 +132,10 @@ fn failure_detector_reports_peer_down_after_silence() {
     );
     assert!(a.trace_ref().count("net.peer.down") >= 1);
     assert_eq!(b.trace_ref().count("net.ctrl.block"), 1);
+    assert!(
+        b.registry().counter(NETIO_DROPPED) > 0,
+        "the block filter's discards must be counted"
+    );
     // Lift the filter: the hello loop reconnects without outside help.
     ctl.unblock(b.local_addr().expect("addr"), &[NodeId(1)])
         .expect("send unblock");

@@ -4,8 +4,8 @@
 //! `LwgConfig`, the net runtime's tunables) exposes a
 //! `validate() -> Result<(), ConfigError>` that names the offending field
 //! and why it is rejected. Builders return the error; constructors that
-//! take a config directly (such as `plwg_vsync::VsyncStack::new`) panic
-//! with its message.
+//! take a config directly (such as `VsyncStack`'s
+//! `HwgSubstrate::build`) panic with its message.
 
 use std::fmt;
 

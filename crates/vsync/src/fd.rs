@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 /// A change in the detector's opinion of a peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FdEvent {
+pub(crate) enum FdEvent {
     /// The peer has been silent past the timeout.
     Suspect(NodeId),
     /// A previously suspected peer was heard from again.
@@ -23,7 +23,7 @@ pub enum FdEvent {
 
 /// Heartbeat-based failure detector over an explicitly watched peer set.
 #[derive(Debug, Default)]
-pub struct FailureDetector {
+pub(crate) struct FailureDetector {
     /// watched peer → (last time heard, currently suspected, watch count).
     peers: BTreeMap<NodeId, PeerState>,
 }

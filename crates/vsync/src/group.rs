@@ -37,7 +37,7 @@
 use crate::fd::FailureDetector;
 use crate::msg::{FlushId, FlushPurpose, Slot, VsMsg};
 use crate::wire;
-use crate::{GroupStatus, VsEvent, VsyncConfig};
+use crate::{GroupStatus, HwgConfig, HwgEvent};
 use plwg_hwg::{keys, HwgId, HwgTraceEvent, View, ViewId};
 use plwg_sim::{NodeId, Payload, SimTime, Transport, TransportExt};
 use std::collections::{BTreeMap, BTreeSet};
@@ -148,7 +148,7 @@ impl GroupEndpoint {
         hwg: HwgId,
         me: NodeId,
         ctx: &mut dyn Transport,
-        cfg: &VsyncConfig,
+        cfg: &HwgConfig,
     ) -> Self {
         let mut ep = GroupEndpoint::blank(hwg, me);
         ep.status = GroupStatus::Joining;
@@ -162,7 +162,7 @@ impl GroupEndpoint {
         hwg: HwgId,
         me: NodeId,
         ctx: &mut dyn Transport,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) -> Self {
         let mut ep = GroupEndpoint::blank(hwg, me);
         ep.status = GroupStatus::Member;
@@ -278,7 +278,7 @@ impl GroupEndpoint {
         ctx: &mut dyn Transport,
         targets: Option<&BTreeSet<NodeId>>,
         data: Payload,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         if self.status == GroupStatus::Left {
             return;
@@ -331,21 +331,21 @@ impl GroupEndpoint {
         &mut self,
         ctx: &mut dyn Transport,
         fd: &FailureDetector,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         match self.status {
             GroupStatus::Left => {}
             GroupStatus::Joining => {
                 // Not admitted anywhere yet; just stop.
                 self.status = GroupStatus::Left;
-                events.push(VsEvent::Left { hwg: self.hwg });
+                events.push(HwgEvent::Left { hwg: self.hwg });
             }
             GroupStatus::Member | GroupStatus::Leaving => {
                 let view = self.view.as_ref().expect("member has a view");
                 if view.len() == 1 {
                     self.status = GroupStatus::Left;
                     self.view = None;
-                    events.push(VsEvent::Left { hwg: self.hwg });
+                    events.push(HwgEvent::Left { hwg: self.hwg });
                     return;
                 }
                 self.status = GroupStatus::Leaving;
@@ -382,8 +382,8 @@ impl GroupEndpoint {
         ctx: &mut dyn Transport,
         now: SimTime,
         fd: &FailureDetector,
-        cfg: &VsyncConfig,
-        events: &mut Vec<VsEvent>,
+        cfg: &HwgConfig,
+        events: &mut Vec<HwgEvent>,
     ) {
         // Joiner: probe retries / give up into a singleton view.
         if self.status == GroupStatus::Joining {
@@ -491,7 +491,7 @@ impl GroupEndpoint {
         }));
     }
 
-    fn send_probe(&mut self, ctx: &mut dyn Transport, cfg: &VsyncConfig) {
+    fn send_probe(&mut self, ctx: &mut dyn Transport, cfg: &HwgConfig) {
         self.probe_attempts += 1;
         self.join_target = None;
         ctx.metrics().incr(keys::JOIN_PROBES);
@@ -501,7 +501,7 @@ impl GroupEndpoint {
         self.probe_deadline = Some(ctx.now() + cfg.probe_timeout);
     }
 
-    fn form_singleton(&mut self, ctx: &mut dyn Transport, events: &mut Vec<VsEvent>) {
+    fn form_singleton(&mut self, ctx: &mut dyn Transport, events: &mut Vec<HwgEvent>) {
         self.status = GroupStatus::Member;
         self.probe_deadline = None;
         let view = View::initial(ViewId::new(self.me, self.take_view_seq()), vec![self.me]);
@@ -523,8 +523,8 @@ impl GroupEndpoint {
         from: NodeId,
         msg: &VsMsg,
         fd: &FailureDetector,
-        cfg: &VsyncConfig,
-        events: &mut Vec<VsEvent>,
+        cfg: &HwgConfig,
+        events: &mut Vec<HwgEvent>,
     ) {
         match msg {
             VsMsg::JoinProbe { .. } => self.on_join_probe(ctx, from, fd),
@@ -623,7 +623,7 @@ impl GroupEndpoint {
         ctx: &mut dyn Transport,
         from: NodeId,
         _view_id: ViewId,
-        cfg: &VsyncConfig,
+        cfg: &HwgConfig,
     ) {
         if self.status != GroupStatus::Joining || self.join_target.is_some() {
             return;
@@ -644,7 +644,7 @@ impl GroupEndpoint {
         sender: NodeId,
         seq: u64,
         data: Slot,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         let Some(view) = &self.view else { return };
         if view.id != view_id {
@@ -665,7 +665,7 @@ impl GroupEndpoint {
 
     /// Delivers from the hold-back queue every message that is in FIFO
     /// order and allowed by the current flush phase.
-    fn try_drain(&mut self, ctx: &mut dyn Transport, events: &mut Vec<VsEvent>) {
+    fn try_drain(&mut self, ctx: &mut dyn Transport, events: &mut Vec<HwgEvent>) {
         if self.delivery_frozen() {
             return;
         }
@@ -696,7 +696,7 @@ impl GroupEndpoint {
                         }
                         Slot::Full(data) => {
                             ctx.metrics().incr(keys::DATA_DELIVERED);
-                            events.push(VsEvent::Data {
+                            events.push(HwgEvent::Data {
                                 hwg: self.hwg,
                                 view_id,
                                 src: sender,
@@ -724,8 +724,8 @@ impl GroupEndpoint {
         flush: FlushId,
         _proposed: &[NodeId],
         purpose: FlushPurpose,
-        cfg: &VsyncConfig,
-        events: &mut Vec<VsEvent>,
+        cfg: &HwgConfig,
+        events: &mut Vec<HwgEvent>,
     ) {
         let Some(view) = &self.view else { return };
         if view.id != view_id || !view.contains(from) {
@@ -755,7 +755,7 @@ impl GroupEndpoint {
             done_sent: false,
             started_at: ctx.now(),
         });
-        events.push(VsEvent::Stop { hwg: self.hwg });
+        events.push(HwgEvent::Stop { hwg: self.hwg });
         if !awaiting {
             self.send_digest(ctx);
         }
@@ -802,7 +802,7 @@ impl GroupEndpoint {
         ctx: &mut dyn Transport,
         flush: FlushId,
         target: BTreeMap<NodeId, u64>,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         let Some(f) = &mut self.flush else { return };
         if f.flush != flush || f.target.is_some() {
@@ -848,7 +848,7 @@ impl GroupEndpoint {
         sender: NodeId,
         seq: u64,
         data: Slot,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         let Some(view) = &self.view else { return };
         if view.id != view_id {
@@ -913,7 +913,7 @@ impl GroupEndpoint {
         &mut self,
         ctx: &mut dyn Transport,
         fd: &FailureDetector,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         if self.running.is_some()
             || self.flush.is_some()
@@ -933,7 +933,7 @@ impl GroupEndpoint {
         &mut self,
         ctx: &mut dyn Transport,
         fd: &FailureDetector,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         if self.running.is_some() || self.view.is_none() || self.has_merge_in_progress() {
             return;
@@ -965,7 +965,7 @@ impl GroupEndpoint {
         ctx: &mut dyn Transport,
         fd: &FailureDetector,
         excluded: &[NodeId],
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         self.start_flush_with_attempts(ctx, fd, excluded, events, 0);
     }
@@ -975,7 +975,7 @@ impl GroupEndpoint {
         ctx: &mut dyn Transport,
         fd: &FailureDetector,
         excluded: &[NodeId],
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
         attempts: u32,
     ) {
         let Some(view) = self.view.clone() else {
@@ -1003,7 +1003,7 @@ impl GroupEndpoint {
             // Only leavers remain (e.g. a sole member leaving) — dissolve.
             self.status = GroupStatus::Left;
             self.view = None;
-            events.push(VsEvent::Left { hwg: self.hwg });
+            events.push(HwgEvent::Left { hwg: self.hwg });
             return;
         }
 
@@ -1113,7 +1113,7 @@ impl GroupEndpoint {
         ctx: &mut dyn Transport,
         from: NodeId,
         flush: FlushId,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         let Some(running) = &mut self.running else {
             return;
@@ -1129,7 +1129,7 @@ impl GroupEndpoint {
 
     /// All members reached the target: either install the successor view
     /// (ordinary view change) or freeze and report to the merge leader.
-    fn conclude_flush(&mut self, ctx: &mut dyn Transport, events: &mut Vec<VsEvent>) {
+    fn conclude_flush(&mut self, ctx: &mut dyn Transport, events: &mut Vec<HwgEvent>) {
         let Some(running) = self.running.take() else {
             return;
         };
@@ -1208,7 +1208,7 @@ impl GroupEndpoint {
         ctx: &mut dyn Transport,
         view: View,
         fd: &FailureDetector,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         if !view.contains(self.me) {
             // A view excluding us: if we were leaving, the leave completed.
@@ -1220,7 +1220,7 @@ impl GroupEndpoint {
             {
                 self.status = GroupStatus::Left;
                 self.view = None;
-                events.push(VsEvent::Left { hwg: self.hwg });
+                events.push(HwgEvent::Left { hwg: self.hwg });
             }
             return;
         }
@@ -1244,7 +1244,7 @@ impl GroupEndpoint {
         self.maybe_start_flush(ctx, fd, events);
     }
 
-    fn install_view(&mut self, view: View, ctx: &mut dyn Transport, events: &mut Vec<VsEvent>) {
+    fn install_view(&mut self, view: View, ctx: &mut dyn Transport, events: &mut Vec<HwgEvent>) {
         if let Some(old) = &self.view {
             self.history.insert(old.id);
         }
@@ -1270,7 +1270,7 @@ impl GroupEndpoint {
         }
         self.pending_leaves.retain(|l| view.contains(*l));
         self.view = Some(view.clone());
-        events.push(VsEvent::View {
+        events.push(HwgEvent::View {
             hwg: self.hwg,
             view,
         });
@@ -1285,7 +1285,7 @@ impl GroupEndpoint {
 
     /// Receiver side: detect FIFO gaps that have persisted past
     /// `nack_delay` and ask the original sender to retransmit.
-    fn check_nacks(&mut self, ctx: &mut dyn Transport, now: SimTime, cfg: &VsyncConfig) {
+    fn check_nacks(&mut self, ctx: &mut dyn Transport, now: SimTime, cfg: &HwgConfig) {
         if self.view.is_none() || self.delivery_frozen() {
             return;
         }
@@ -1369,7 +1369,7 @@ impl GroupEndpoint {
 
     /// Periodically advertise the delivered prefix and garbage-collect the
     /// retransmission store below the view-wide stable point.
-    fn stability_tick(&mut self, ctx: &mut dyn Transport, now: SimTime, cfg: &VsyncConfig) {
+    fn stability_tick(&mut self, ctx: &mut dyn Transport, now: SimTime, cfg: &HwgConfig) {
         let Some(view) = &self.view else { return };
         if view.len() < 2 || self.flush.is_some() || self.running.is_some() {
             return;
@@ -1470,7 +1470,7 @@ impl GroupEndpoint {
         from: NodeId,
         their_view: ViewId,
         fd: &FailureDetector,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         if from == self.me || self.status != GroupStatus::Member {
             return;
@@ -1502,7 +1502,7 @@ impl GroupEndpoint {
                 if self.status == GroupStatus::Leaving {
                     self.status = GroupStatus::Left;
                     self.view = None;
-                    events.push(VsEvent::Left { hwg: self.hwg });
+                    events.push(HwgEvent::Left { hwg: self.hwg });
                 } else {
                     let reborn = View::with_predecessors(
                         ViewId::new(self.me, self.take_view_seq()),
@@ -1576,8 +1576,8 @@ impl GroupEndpoint {
         invitee_view: ViewId,
         _leader_view: ViewId,
         fd: &FailureDetector,
-        _cfg: &VsyncConfig,
-        events: &mut Vec<VsEvent>,
+        _cfg: &HwgConfig,
+        events: &mut Vec<HwgEvent>,
     ) {
         let stale = self.view.as_ref().map(|v| v.id) != Some(invitee_view)
             || self.status != GroupStatus::Member
@@ -1603,7 +1603,12 @@ impl GroupEndpoint {
         self.start_flush(ctx, fd, &[], events);
     }
 
-    fn on_merge_ready(&mut self, ctx: &mut dyn Transport, frozen: View, events: &mut Vec<VsEvent>) {
+    fn on_merge_ready(
+        &mut self,
+        ctx: &mut dyn Transport,
+        frozen: View,
+        events: &mut Vec<HwgEvent>,
+    ) {
         let Some(merge) = &mut self.merge else { return };
         if let Some(slot) = merge.participants.get_mut(&frozen.id) {
             *slot = Some(frozen);
@@ -1613,7 +1618,7 @@ impl GroupEndpoint {
 
     /// If the leader's own flush and every participant report are in,
     /// install the merged view everywhere.
-    fn try_complete_merge(&mut self, ctx: &mut dyn Transport, _events: &mut Vec<VsEvent>) {
+    fn try_complete_merge(&mut self, ctx: &mut dyn Transport, _events: &mut Vec<HwgEvent>) {
         let Some(merge) = &self.merge else { return };
         let Some(my_frozen) = &merge.my_frozen else {
             return;

@@ -26,10 +26,12 @@
 //!   installs a single successor view.
 //!
 //! The stack is a *passive component*: the owning [`plwg_sim::Process`]
-//! (an application node or the LWG service) forwards messages and timers to
-//! [`VsyncStack`] and drains the resulting [`VsEvent`] upcalls — the
-//! `Join/Leave/Send/StopOk` down-calls and `View/Data/Stop` up-calls of
-//! Table 1 in the paper.
+//! (an application node, the LWG service, or a [`plwg_hwg::Driver`])
+//! forwards messages and timers to [`VsyncStack`] and drains the resulting
+//! [`HwgEvent`] upcalls. Its only API is its [`HwgSubstrate`]
+//! implementation — the `Join/Leave/Send/StopOk` down-calls and
+//! `View/Data/Stop` up-calls of Table 1 in the paper. The same type runs
+//! over real sockets as `plwg_net::NetSubstrate`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,13 +43,10 @@ mod group;
 pub mod keys;
 mod msg;
 mod stack;
-mod substrate;
 mod wire;
 
-pub use fd::{FailureDetector, FdEvent};
 pub use msg::{FlushId, FlushPurpose, Slot, VsMsg};
 pub use plwg_hwg::{
-    GroupStatus, HwgConfig as VsyncConfig, HwgEvent as VsEvent, HwgId, HwgSubstrate, HwgTraceEvent,
-    View, ViewId,
+    GroupStatus, HwgConfig, HwgEvent, HwgId, HwgSubstrate, HwgTraceEvent, View, ViewId,
 };
 pub use stack::VsyncStack;

@@ -1,14 +1,15 @@
 //! The per-node protocol stack: multiplexes group endpoints, runs the
-//! shared failure detector, and exposes the Table-1 interface of the paper
-//! (`Join`, `Leave`, `Send`, `StopOk` down; `View`, `Data`, `Stop` up).
+//! shared failure detector, and implements the Table-1 interface of the
+//! paper (`Join`, `Leave`, `Send`, `StopOk` down; `View`, `Data`, `Stop`
+//! up) as [`HwgSubstrate`].
 
 use crate::fd::{FailureDetector, FdEvent};
 use crate::group::GroupEndpoint;
 use crate::keys;
 use crate::msg::VsMsg;
 use crate::wire;
-use crate::{GroupStatus, VsEvent, VsyncConfig};
-use plwg_hwg::{HwgId, HwgTraceEvent, View};
+use crate::GroupStatus;
+use plwg_hwg::{HwgConfig, HwgEvent, HwgId, HwgSubstrate, HwgTraceEvent, View};
 use plwg_sim::{
     decode_frame, family, peek_family, NodeId, Payload, TimerToken, Transport, TransportExt,
 };
@@ -21,27 +22,29 @@ const TOK_BEACON: TimerToken = TimerToken(0x0100_0000_0000_0002);
 
 /// One node's HWG protocol stack.
 ///
-/// The owning [`plwg_sim::Process`] must forward messages and timers and
-/// drain the upcalls; [`plwg_sim::Driver`] does exactly that:
+/// Its whole API is the [`HwgSubstrate`] implementation: the owning
+/// [`plwg_sim::Process`] must forward messages and timers and drain the
+/// upcalls, and [`plwg_hwg::Driver`] does exactly that:
 ///
 /// ```
-/// use plwg_sim::{Driver, Frame, NodeId, SimDuration, World, WorldConfig};
-/// use plwg_vsync::{HwgId, VsEvent, VsyncConfig, VsyncStack};
+/// use plwg_hwg::{Driver, HwgConfig, HwgEvent, HwgId, HwgSubstrate};
+/// use plwg_sim::{Frame, NodeId, SimDuration, World, WorldConfig};
+/// use plwg_vsync::VsyncStack;
 ///
 /// type Node = Driver<VsyncStack>;
 /// let mut world = World::new(WorldConfig::default());
 /// let nodes: Vec<NodeId> = (0..2)
 ///     .map(|i| {
-///         let stack = VsyncStack::new(NodeId(i), VsyncConfig::default());
+///         let stack = VsyncStack::build(NodeId(i), &HwgConfig::default());
 ///         world.add_node(Box::new(Node::new(stack)))
 ///     })
 ///     .collect();
 /// let g = HwgId(1);
-/// world.invoke(nodes[0], |d: &mut Node, ctx| d.endpoint_mut().create(ctx, g));
-/// world.invoke(nodes[1], |d: &mut Node, ctx| d.endpoint_mut().join(ctx, g));
+/// world.invoke(nodes[0], |d: &mut Node, ctx| d.substrate_mut().create(ctx, g));
+/// world.invoke(nodes[1], |d: &mut Node, ctx| d.substrate_mut().join(ctx, g));
 /// world.run_for(SimDuration::from_secs(5));
 /// world.invoke(nodes[1], |d: &mut Node, ctx| {
-///     d.endpoint_mut().send(ctx, g, Frame::from_u64(7))
+///     d.substrate_mut().send(ctx, g, Frame::from_u64(7))
 /// });
 /// world.run_for(SimDuration::from_secs(1));
 ///
@@ -49,7 +52,7 @@ const TOK_BEACON: TimerToken = TimerToken(0x0100_0000_0000_0002);
 ///     d.events()
 ///         .iter()
 ///         .filter_map(|ev| match ev {
-///             VsEvent::Data { data, .. } => data.try_u64(),
+///             HwgEvent::Data { data, .. } => data.try_u64(),
 ///             _ => None,
 ///         })
 ///         .collect()
@@ -58,53 +61,41 @@ const TOK_BEACON: TimerToken = TimerToken(0x0100_0000_0000_0002);
 /// ```
 pub struct VsyncStack {
     me: NodeId,
-    cfg: VsyncConfig,
+    cfg: HwgConfig,
     fd: FailureDetector,
     groups: BTreeMap<HwgId, GroupEndpoint>,
-    events: Vec<VsEvent>,
+    events: Vec<HwgEvent>,
 }
 
-impl VsyncStack {
+impl HwgSubstrate for VsyncStack {
     /// Creates a stack for node `me`.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` is invalid (see [`VsyncConfig::validate`]).
-    pub fn new(me: NodeId, cfg: VsyncConfig) -> Self {
+    /// Panics if `cfg` is invalid (see [`HwgConfig::validate`]).
+    fn build(me: NodeId, cfg: &HwgConfig) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         VsyncStack {
             me,
-            cfg,
+            cfg: cfg.clone(),
             fd: FailureDetector::new(),
             groups: BTreeMap::new(),
             events: Vec::new(),
         }
     }
 
-    /// The node this stack runs on.
-    pub fn node(&self) -> NodeId {
+    fn node(&self) -> NodeId {
         self.me
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &VsyncConfig {
-        &self.cfg
-    }
-
-    /// Must be called from the owner's [`plwg_sim::Process::on_start`]:
-    /// arms the periodic protocol timers.
-    pub fn start(&mut self, ctx: &mut dyn Transport) {
+    fn start(&mut self, ctx: &mut dyn Transport) {
         ctx.set_timer(self.cfg.hb_interval, TOK_FD);
         ctx.set_timer(self.cfg.beacon_interval, TOK_BEACON);
     }
 
-    // ------------------------------------------------------------------
-    // Down-calls (paper Table 1)
-    // ------------------------------------------------------------------
-
-    /// Joins `hwg`: probes for an existing view; if none answers, forms a
-    /// singleton view. No-op if already a member or joining.
-    pub fn join(&mut self, ctx: &mut dyn Transport, hwg: HwgId) {
+    /// Probes for an existing view; if none answers, forms a singleton
+    /// view. No-op if already a member or joining.
+    fn join(&mut self, ctx: &mut dyn Transport, hwg: HwgId) {
         match self.groups.get(&hwg).map(GroupEndpoint::status) {
             Some(GroupStatus::Member | GroupStatus::Joining | GroupStatus::Leaving) => {}
             Some(GroupStatus::Left) | None => {
@@ -114,12 +105,9 @@ impl VsyncStack {
         }
     }
 
-    /// Creates `hwg` with an immediate singleton view (the caller knows the
-    /// group is fresh — e.g. the LWG layer allocating a new HWG).
-    ///
     /// If concurrent creations race, the resulting concurrent views merge
     /// via the beacon protocol exactly like healed partitions do.
-    pub fn create(&mut self, ctx: &mut dyn Transport, hwg: HwgId) {
+    fn create(&mut self, ctx: &mut dyn Transport, hwg: HwgId) {
         match self.groups.get(&hwg).map(GroupEndpoint::status) {
             Some(GroupStatus::Member | GroupStatus::Joining | GroupStatus::Leaving) => {}
             Some(GroupStatus::Left) | None => {
@@ -130,32 +118,26 @@ impl VsyncStack {
         }
     }
 
-    /// Leaves `hwg` (the `Left` upcall confirms completion).
-    pub fn leave(&mut self, ctx: &mut dyn Transport, hwg: HwgId) {
+    fn leave(&mut self, ctx: &mut dyn Transport, hwg: HwgId) {
         if let Some(ep) = self.groups.get_mut(&hwg) {
             ep.leave(ctx, &self.fd, &mut self.events);
         }
         self.sync_watches(ctx);
     }
 
-    /// Sends a virtually-synchronous multicast on `hwg`. Messages sent
-    /// while the group has no installed view or is flushing are buffered
-    /// and sent in the next view. Silently ignored if not a member.
-    pub fn send(&mut self, ctx: &mut dyn Transport, hwg: HwgId, data: Payload) {
+    /// Messages sent while the group has no installed view or is flushing
+    /// are buffered and sent in the next view.
+    fn send(&mut self, ctx: &mut dyn Transport, hwg: HwgId, data: Payload) {
         if let Some(ep) = self.groups.get_mut(&hwg) {
             ep.send_payload(ctx, None, data, &mut self.events);
         }
     }
 
-    /// Sends a virtually-synchronous multicast on `hwg` whose payload is
-    /// delivered only to `targets` (interference-aware subset delivery).
     /// Members outside the target set receive a same-sequence
     /// [`crate::Slot::Skip`] marker that holds their FIFO slot without an
-    /// upcall, so the view's ordering, stability, and flush guarantees are
-    /// identical to a full [`VsyncStack::send`]. The sender always
-    /// self-delivers the real payload. Buffered sends (no view, or
-    /// mid-flush) fall back to full multicasts.
-    pub fn send_to(
+    /// upcall. Buffered sends (no view, or mid-flush) fall back to full
+    /// multicasts.
+    fn send_to(
         &mut self,
         ctx: &mut dyn Transport,
         hwg: HwgId,
@@ -167,80 +149,44 @@ impl VsyncStack {
         }
     }
 
-    /// Forces a no-change flush of `hwg` (a synchronisation barrier for the
-    /// layer above — the LWG merge-views protocol). Honoured only by the
-    /// acting coordinator; a no-op while a flush or merge is in progress.
-    pub fn force_flush(&mut self, ctx: &mut dyn Transport, hwg: HwgId) {
+    /// A no-op while a flush or merge is in progress.
+    fn force_flush(&mut self, ctx: &mut dyn Transport, hwg: HwgId) {
         if let Some(ep) = self.groups.get_mut(&hwg) {
             ep.force_flush(ctx, &self.fd, &mut self.events);
         }
     }
 
-    /// Confirms a `Stop` upcall (only needed when
-    /// [`VsyncConfig::auto_stop_ok`] is `false`).
-    pub fn stop_ok(&mut self, ctx: &mut dyn Transport, hwg: HwgId) {
+    fn stop_ok(&mut self, ctx: &mut dyn Transport, hwg: HwgId) {
         if let Some(ep) = self.groups.get_mut(&hwg) {
             ep.stop_ok(ctx);
         }
     }
 
-    // ------------------------------------------------------------------
-    // Introspection
-    // ------------------------------------------------------------------
-
-    /// The current view of `hwg`, if this node has one installed.
-    pub fn view_of(&self, hwg: HwgId) -> Option<&View> {
+    fn view_of(&self, hwg: HwgId) -> Option<&View> {
         self.groups.get(&hwg).and_then(GroupEndpoint::view)
     }
 
-    /// This node's status in `hwg`.
-    pub fn status_of(&self, hwg: HwgId) -> GroupStatus {
+    fn status_of(&self, hwg: HwgId) -> GroupStatus {
         self.groups
             .get(&hwg)
             .map_or(GroupStatus::Left, GroupEndpoint::status)
     }
 
-    /// Whether this node currently acts as coordinator of `hwg` (most
-    /// senior member it does not suspect).
-    pub fn is_coordinator(&self, hwg: HwgId) -> bool {
+    fn is_coordinator(&self, hwg: HwgId) -> bool {
         self.groups
             .get(&hwg)
             .is_some_and(|ep| ep.i_am_acting_coordinator(&self.fd))
     }
 
-    /// Groups this stack currently participates in (any non-`Left` status).
-    pub fn groups(&self) -> impl Iterator<Item = HwgId> + '_ {
+    fn groups(&self) -> Vec<HwgId> {
         self.groups
             .iter()
             .filter(|(_, ep)| ep.status() != GroupStatus::Left)
             .map(|(&h, _)| h)
+            .collect()
     }
 
-    /// Whether a merge is in progress on `hwg` (test/diagnostic hook).
-    pub fn merge_in_progress(&self, hwg: HwgId) -> bool {
-        self.groups
-            .get(&hwg)
-            .is_some_and(GroupEndpoint::has_merge_in_progress)
-    }
-
-    /// Whether the local failure detector currently suspects `peer`.
-    pub fn suspects(&self, peer: NodeId) -> bool {
-        self.fd.is_suspected(peer)
-    }
-
-    /// Messages currently retained for retransmission on `hwg` — bounded
-    /// by the stability exchange (diagnostics and tests).
-    pub fn retransmit_buffer_len(&self, hwg: HwgId) -> usize {
-        self.groups.get(&hwg).map_or(0, GroupEndpoint::store_len)
-    }
-
-    // ------------------------------------------------------------------
-    // Plumbing from the owning process
-    // ------------------------------------------------------------------
-
-    /// Handles an incoming message if it belongs to this stack.
-    /// Returns `true` when consumed (the owner should then drain upcalls).
-    pub fn on_message(&mut self, ctx: &mut dyn Transport, from: NodeId, msg: &Payload) -> bool {
+    fn on_message(&mut self, ctx: &mut dyn Transport, from: NodeId, msg: &Payload) -> bool {
         if peek_family(msg) != Some(family::VS) {
             return false;
         }
@@ -292,9 +238,7 @@ impl VsyncStack {
         true
     }
 
-    /// Handles a timer if it belongs to this stack. Returns `true` when
-    /// consumed.
-    pub fn on_timer(&mut self, ctx: &mut dyn Transport, token: TimerToken) -> bool {
+    fn on_timer(&mut self, ctx: &mut dyn Transport, token: TimerToken) -> bool {
         match token {
             TOK_FD => {
                 self.fd_tick(ctx);
@@ -312,16 +256,22 @@ impl VsyncStack {
         }
     }
 
-    /// Takes the upcalls produced since the last drain.
-    pub fn drain_events(&mut self) -> Vec<VsEvent> {
+    fn drain_events(&mut self) -> Vec<HwgEvent> {
         std::mem::take(&mut self.events)
     }
 
-    /// Moves the upcalls produced since the last drain into `out`,
-    /// keeping the internal buffer's capacity (the allocation-free drain
-    /// the LWG service's pump loop uses).
-    pub fn drain_events_into(&mut self, out: &mut Vec<VsEvent>) {
+    /// Keeps the internal buffer's capacity (the allocation-free drain the
+    /// LWG service's pump loop uses).
+    fn drain_events_into(&mut self, out: &mut Vec<HwgEvent>) {
         out.append(&mut self.events);
+    }
+}
+
+impl VsyncStack {
+    /// Messages currently retained for retransmission on `hwg` — bounded
+    /// by the stability exchange (diagnostics and tests).
+    pub fn retransmit_buffer_len(&self, hwg: HwgId) -> usize {
+        self.groups.get(&hwg).map_or(0, GroupEndpoint::store_len)
     }
 
     fn fd_tick(&mut self, ctx: &mut dyn Transport) {

@@ -8,7 +8,7 @@ use plwg_sim::{
     Frame, NetConfig, NodeId, Payload, Process, SimDuration, SimRng, SimTime, TimerToken,
     Transport, World, WorldConfig,
 };
-use plwg_vsync::{HwgId, ViewId, VsEvent, VsyncConfig, VsyncStack};
+use plwg_vsync::{HwgConfig, HwgEvent, HwgId, HwgSubstrate, ViewId, VsyncStack};
 use std::any::Any;
 
 /// Test payload: a bare 8-byte little-endian integer frame.
@@ -30,15 +30,15 @@ struct Harness {
 impl Harness {
     fn new(me: NodeId) -> Self {
         Harness {
-            stack: VsyncStack::new(me, VsyncConfig::default()),
+            stack: VsyncStack::build(me, &HwgConfig::default()),
             epochs: Vec::new(),
         }
     }
     fn drain(&mut self) {
         for ev in self.stack.drain_events() {
             match ev {
-                VsEvent::View { view, .. } => self.epochs.push((view.id, Vec::new())),
-                VsEvent::Data { src, data, .. } => {
+                HwgEvent::View { view, .. } => self.epochs.push((view.id, Vec::new())),
+                HwgEvent::Data { src, data, .. } => {
                     let v = data.try_u64().expect("u64");
                     if let Some((_, msgs)) = self.epochs.last_mut() {
                         msgs.push((src, v));

@@ -6,7 +6,8 @@ use plwg_sim::{
     WorldConfig,
 };
 use plwg_vsync::{
-    FlushId, FlushPurpose, GroupStatus, HwgId, View, VsEvent, VsMsg, VsyncConfig, VsyncStack,
+    FlushId, FlushPurpose, GroupStatus, HwgConfig, HwgEvent, HwgId, HwgSubstrate, View, VsMsg,
+    VsyncStack,
 };
 use std::any::Any;
 
@@ -25,9 +26,9 @@ struct App {
 }
 
 impl App {
-    fn new(me: NodeId, cfg: VsyncConfig) -> Self {
+    fn new(me: NodeId, cfg: HwgConfig) -> Self {
         App {
-            stack: VsyncStack::new(me, cfg),
+            stack: VsyncStack::build(me, &cfg),
             views: Vec::new(),
             delivered: Vec::new(),
             lefts: Vec::new(),
@@ -38,13 +39,13 @@ impl App {
     fn drain(&mut self) {
         for ev in self.stack.drain_events() {
             match ev {
-                VsEvent::View { hwg, view } => self.views.push((hwg, view)),
-                VsEvent::Data { hwg, src, data, .. } => {
+                HwgEvent::View { hwg, view } => self.views.push((hwg, view)),
+                HwgEvent::Data { hwg, src, data, .. } => {
                     let v = data.try_u64().expect("u64 payloads in tests");
                     self.delivered.push((hwg, src, v));
                 }
-                VsEvent::Stop { .. } => self.stops += 1,
-                VsEvent::Left { hwg } => self.lefts.push(hwg),
+                HwgEvent::Stop { .. } => self.stops += 1,
+                HwgEvent::Left { hwg } => self.lefts.push(hwg),
             }
         }
     }
@@ -86,7 +87,7 @@ fn world_with(n: u32, seed: u64) -> (World, Vec<NodeId>) {
         ..WorldConfig::default()
     });
     let nodes: Vec<NodeId> = (0..n)
-        .map(|i| w.add_node(Box::new(App::new(NodeId(i), VsyncConfig::default()))))
+        .map(|i| w.add_node(Box::new(App::new(NodeId(i), HwgConfig::default()))))
         .collect();
     (w, nodes)
 }
@@ -430,7 +431,7 @@ fn virtual_synchrony_under_message_loss() {
         ..WorldConfig::default()
     });
     let nodes: Vec<NodeId> = (0..3)
-        .map(|i| w.add_node(Box::new(App::new(NodeId(i), VsyncConfig::default()))))
+        .map(|i| w.add_node(Box::new(App::new(NodeId(i), HwgConfig::default()))))
         .collect();
     bring_up(&mut w, &nodes);
     for burst in 0..20u64 {
@@ -556,7 +557,7 @@ fn nack_recovers_lost_messages_without_view_change() {
         ..WorldConfig::default()
     });
     let nodes: Vec<NodeId> = (0..3)
-        .map(|i| w.add_node(Box::new(App::new(NodeId(i), VsyncConfig::default()))))
+        .map(|i| w.add_node(Box::new(App::new(NodeId(i), HwgConfig::default()))))
         .collect();
     bring_up(&mut w, &nodes);
     for k in 0..60u64 {

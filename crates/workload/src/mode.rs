@@ -12,7 +12,7 @@
 use plwg_core::{LwgConfig, LwgId, LwgService};
 use plwg_naming::NamingConfig;
 use plwg_sim::{Frame, NodeId, Payload, Process, SimDuration, SimTime, TimerToken, Transport};
-use plwg_vsync::{GroupStatus, HwgId, VsEvent, VsyncStack};
+use plwg_vsync::{GroupStatus, HwgEvent, HwgId, HwgSubstrate, VsyncStack};
 use std::any::Any;
 
 /// Which of the paper's three configurations a [`BenchNode`] runs.
@@ -114,7 +114,7 @@ impl BenchNode {
     /// the LWG modes; `vsync_cfg` (inside `cfg`) by all.
     pub fn new(me: NodeId, mode: ServiceMode, servers: Vec<NodeId>, cfg: LwgConfig) -> Self {
         let inner = match mode {
-            ServiceMode::NoLwg => Inner::Raw(Box::new(VsyncStack::new(me, cfg.hwg.clone()))),
+            ServiceMode::NoLwg => Inner::Raw(Box::new(VsyncStack::build(me, &cfg.hwg))),
             ServiceMode::StaticLwg | ServiceMode::DynamicLwg => Inner::Lwg(Box::new(
                 LwgService::builder(me)
                     .servers(servers)
@@ -199,7 +199,7 @@ impl BenchNode {
     /// Number of distinct HWGs this node belongs to (resource footprint).
     pub fn hwg_count(&self) -> usize {
         match &self.inner {
-            Inner::Raw(stack) => stack.groups().count(),
+            Inner::Raw(stack) => stack.groups().len(),
             Inner::Lwg(svc) => svc.hwgs().len(),
         }
     }
@@ -207,7 +207,7 @@ impl BenchNode {
     /// Raw ids of the HWGs this node belongs to.
     pub fn hwg_ids(&self) -> Vec<u64> {
         match &self.inner {
-            Inner::Raw(stack) => stack.groups().map(|h| h.0).collect(),
+            Inner::Raw(stack) => stack.groups().into_iter().map(|h| h.0).collect(),
             Inner::Lwg(svc) => svc.hwgs().into_iter().map(|h| h.0).collect(),
         }
     }
@@ -239,7 +239,7 @@ impl BenchNode {
             Inner::Raw(stack) => {
                 for ev in stack.drain_events() {
                     match ev {
-                        VsEvent::Data { hwg, src, data, .. } => {
+                        HwgEvent::Data { hwg, src, data, .. } => {
                             if let Some(st) = Stamped::from_frame(&data) {
                                 self.deliveries.push(Delivery {
                                     group: hwg.0,
@@ -250,12 +250,12 @@ impl BenchNode {
                                 });
                             }
                         }
-                        VsEvent::View { hwg, view } => self.views.push(ViewRecord {
+                        HwgEvent::View { hwg, view } => self.views.push(ViewRecord {
                             group: hwg.0,
                             at: now,
                             members: view.sorted_members(),
                         }),
-                        VsEvent::Stop { .. } | VsEvent::Left { .. } => {}
+                        HwgEvent::Stop { .. } | HwgEvent::Left { .. } => {}
                     }
                 }
             }

@@ -2,13 +2,13 @@
 //! want plain partitionable virtual synchrony without the light-weight
 //! multiplexing on top.
 //!
-//! The stack is a [`plwg::sim::Endpoint`], so [`plwg::sim::Driver`]
-//! provides the node plumbing; no hand-written `Process` impl needed.
+//! The stack is a [`HwgSubstrate`], so [`plwg::hwg::Driver`] provides the
+//! node plumbing; no hand-written `Process` impl needed.
 //!
 //! Run with: `cargo run --example raw_vsync`
 
+use plwg::hwg::Driver;
 use plwg::prelude::*;
-use plwg::sim::Driver;
 use plwg::vsync::HwgId;
 
 const GROUP: HwgId = HwgId(42);
@@ -17,20 +17,20 @@ const GROUP: HwgId = HwgId(42);
 type ChatNode = Driver<VsyncStack>;
 
 fn chat_node(me: NodeId) -> Box<ChatNode> {
-    Box::new(Driver::new(VsyncStack::new(me, VsyncConfig::default())))
+    Box::new(Driver::new(VsyncStack::build(me, &HwgConfig::default())))
 }
 
 /// Renders the recorded upcalls as chat-log lines.
-fn render(events: &[VsEvent]) -> Vec<String> {
+fn render(events: &[HwgEvent]) -> Vec<String> {
     events
         .iter()
         .filter_map(|ev| match ev {
-            VsEvent::View { view, .. } => Some(format!("view {view}")),
-            VsEvent::Data { src, data, .. } => {
+            HwgEvent::View { view, .. } => Some(format!("view {view}")),
+            HwgEvent::Data { src, data, .. } => {
                 let text = std::str::from_utf8(data.bytes()).expect("utf-8 payload");
                 Some(format!("{src}: {text}"))
             }
-            VsEvent::Stop { .. } | VsEvent::Left { .. } => None,
+            HwgEvent::Stop { .. } | HwgEvent::Left { .. } => None,
         })
         .collect()
 }
@@ -52,16 +52,16 @@ fn main() {
 
     // First node creates the group; the rest rendezvous via probes.
     world.invoke(nodes[0], |c: &mut ChatNode, ctx| {
-        c.endpoint_mut().create(ctx, GROUP)
+        c.substrate_mut().create(ctx, GROUP)
     });
     for (i, &n) in nodes[1..].iter().enumerate() {
         world.invoke_at(at(1 + i as u64), n, |c: &mut ChatNode, ctx| {
-            c.endpoint_mut().join(ctx, GROUP)
+            c.substrate_mut().join(ctx, GROUP)
         });
     }
     world.run_until(at(8));
     world.invoke(nodes[1], |c: &mut ChatNode, ctx| {
-        c.endpoint_mut()
+        c.substrate_mut()
             .send(ctx, GROUP, text("hello, virtually synchronous world"));
     });
     world.run_until(at(9));
@@ -73,10 +73,10 @@ fn main() {
     );
     world.run_until(at(16));
     world.invoke(nodes[0], |c: &mut ChatNode, ctx| {
-        c.endpoint_mut().send(ctx, GROUP, text("anyone there?"));
+        c.substrate_mut().send(ctx, GROUP, text("anyone there?"));
     });
     world.invoke(nodes[3], |c: &mut ChatNode, ctx| {
-        c.endpoint_mut().send(ctx, GROUP, text("our side is fine"));
+        c.substrate_mut().send(ctx, GROUP, text("our side is fine"));
     });
     world.heal_at(at(18));
     world.run_until(at(30));
@@ -88,7 +88,7 @@ fn main() {
             println!("  {line}");
         }
         let final_view = world.inspect(n, |c: &ChatNode| {
-            c.endpoint().view_of(GROUP).cloned().expect("view")
+            c.substrate().view_of(GROUP).cloned().expect("view")
         });
         assert_eq!(final_view.len(), 4, "merged back to 4: {final_view}");
     }

@@ -84,17 +84,18 @@ pub mod prelude {
     pub use plwg_core::{
         HwgId, HwgSubstrate, LwgConfig, LwgError, LwgEvent, LwgEvents, LwgId, View, ViewId,
     };
+    pub use plwg_hwg::{HwgConfig, HwgEvent};
     pub use plwg_naming::{Mapping, NameServer, NamingConfig, NsClient, NsEvent};
-    pub use plwg_net::{NetOptions, NetRuntime, NetSubstrate};
+    pub use plwg_net::{NetOptions, NetRuntime};
     pub use plwg_sim::{
         Frame, NodeId, Payload, Process, SimDuration, SimTime, Transport, World, WorldConfig,
     };
-    pub use plwg_vsync::{VsEvent, VsyncConfig, VsyncStack};
+    pub use plwg_vsync::VsyncStack;
 
     /// The LWG service over the production virtual-synchrony substrate.
     pub type LwgService = plwg_core::LwgService<VsyncStack>;
-    /// The ready-made simulated node over the production substrate.
+    /// The ready-made node over the production substrate. The same type is
+    /// the real-socket node: host it in a [`NetRuntime`] instead of a
+    /// [`World`] (`plwg_net::NetSubstrate` *is* [`VsyncStack`]).
     pub type LwgNode = plwg_core::LwgNode<VsyncStack>;
-    /// The same node over the real-socket substrate (`plwg-net`).
-    pub type NetLwgNode = plwg_core::LwgNode<NetSubstrate>;
 }

@@ -55,7 +55,7 @@ fn run_name_server() {
 
 fn run_app(me: NodeId) {
     let mut rt = child_runtime(me);
-    let mut node: NetLwgNode = plwg::core::LwgNode::builder(me)
+    let mut node: LwgNode = plwg::core::LwgNode::builder(me)
         .servers([NS])
         .config(LwgConfig::default())
         .build_node()
@@ -65,7 +65,7 @@ fn run_app(me: NodeId) {
 
     let view_len = |p: &mut dyn Process| -> usize {
         p.as_any_mut()
-            .downcast_mut::<NetLwgNode>()
+            .downcast_mut::<LwgNode>()
             .expect("hosts an LwgNode")
             .current_view(GROUP)
             .map_or(0, |v| v.len())

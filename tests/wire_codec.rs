@@ -2,7 +2,8 @@
 //!
 //! Seeded (reproducible) round-trips across every variant of the three
 //! wire families, rejection of truncated/trailing/misrouted frames, a
-//! no-panic sweep over corrupted bytes, and the golden frame snapshot
+//! no-panic sweep over corrupted frames of every family (`NET` included)
+//! and over random and mutated datagrams, and the golden frame snapshot
 //! (`tests/golden/wire_frames.hex`) that pins the byte layout: any
 //! encoding change — even a compatible-looking one — must show up as a
 //! reviewed diff of that file. Regenerate with
@@ -11,9 +12,13 @@
 use plwg::core::{LFlushId, LwgMsg};
 use plwg::hwg::{HwgId, View, ViewId};
 use plwg::naming::{LwgId, Mapping, MappingDb, NsMsg, RequestId};
-use plwg::sim::{decode_frame, encode_frame, family, peek_family, Frame, NodeId, SimRng};
+use plwg::net::{pack_datagram, unpack_datagram, NetMsg};
+use plwg::sim::{
+    decode_frame, encode_frame, family, peek_family, Decode, Encode, Frame, NodeId, SimRng,
+};
 use plwg::vsync::{FlushId, FlushPurpose, Slot, VsMsg};
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 
 // ---------------------------------------------------------------------
 // Seeded generators
@@ -286,6 +291,31 @@ fn ns_msg(rng: &mut SimRng) -> NsMsg {
     }
 }
 
+fn net_msg(rng: &mut SimRng) -> NetMsg {
+    let node = node(rng);
+    match rng.range(0, 5) {
+        0 => NetMsg::Hello { node },
+        1 => NetMsg::Alive { node },
+        2 => NetMsg::Bye { node },
+        3 => NetMsg::Block {
+            peers: members(rng),
+        },
+        _ => NetMsg::Unblock {
+            peers: members(rng),
+        },
+    }
+}
+
+/// A frame of a random family, as the protocol layers would emit it.
+fn any_frame(rng: &mut SimRng) -> Frame {
+    match rng.range(0, 4) {
+        0 => encode_frame(family::VS, &vs_msg(rng)),
+        1 => encode_frame(family::LWG, &lwg_msg(rng)),
+        2 => encode_frame(family::NS, &ns_msg(rng)),
+        _ => encode_frame(family::NET, &net_msg(rng)),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Round-trip properties (the enums have no PartialEq; their Debug forms
 // are total, so string equality is the identity check)
@@ -398,14 +428,77 @@ fn corruption_never_panics() {
     let mut rng = SimRng::from_seed(9);
     for _ in 0..200 {
         let f = encode_frame(family::VS, &vs_msg(&mut rng));
-        let mut bytes = f.bytes().to_vec();
-        let i = rng.range(0, bytes.len() as u64) as usize;
-        bytes[i] ^= 1 << rng.range(0, 8);
-        let corrupt = Frame::from_vec(bytes);
-        if let Ok(back) = decode_frame::<VsMsg>(family::VS, &corrupt) {
-            let re = encode_frame(family::VS, &back);
-            let again: VsMsg = decode_frame(family::VS, &re).expect("re-encode round trips");
-            assert_eq!(format!("{back:?}"), format!("{again:?}"));
+        corrupt_and_check::<VsMsg>(&mut rng, family::VS, &f);
+        let f = encode_frame(family::LWG, &lwg_msg(&mut rng));
+        corrupt_and_check::<LwgMsg>(&mut rng, family::LWG, &f);
+        let f = encode_frame(family::NS, &ns_msg(&mut rng));
+        corrupt_and_check::<NsMsg>(&mut rng, family::NS, &f);
+        let f = encode_frame(family::NET, &net_msg(&mut rng));
+        corrupt_and_check::<NetMsg>(&mut rng, family::NET, &f);
+    }
+}
+
+/// Flips one random bit of `f`, then decodes it as family `fam`.
+fn corrupt_and_check<T: Encode + Decode + Debug>(rng: &mut SimRng, fam: u64, f: &Frame) {
+    let mut bytes = f.bytes().to_vec();
+    let i = rng.range(0, bytes.len() as u64) as usize;
+    bytes[i] ^= 1 << rng.range(0, 8);
+    let corrupt = Frame::from_vec(bytes);
+    if let Ok(back) = decode_frame::<T>(fam, &corrupt) {
+        let re = encode_frame(fam, &back);
+        let again: T = decode_frame(fam, &re).expect("re-encode round trips");
+        assert_eq!(format!("{back:?}"), format!("{again:?}"));
+    }
+}
+
+/// Unpacks `dgram` and, if the envelope parses, decodes every frame with
+/// its family's decoder — what the net runtime and the stack above it do
+/// with a received datagram. Either step may fail; neither may panic.
+fn unpack_and_decode(dgram: &[u8]) {
+    let Ok((_, frames)) = unpack_datagram(dgram) else {
+        return;
+    };
+    for f in &frames {
+        let _decoded = match peek_family(f) {
+            Some(family::VS) => decode_frame::<VsMsg>(family::VS, f).is_ok(),
+            Some(family::LWG) => decode_frame::<LwgMsg>(family::LWG, f).is_ok(),
+            Some(family::NS) => decode_frame::<NsMsg>(family::NS, f).is_ok(),
+            Some(family::NET) => decode_frame::<NetMsg>(family::NET, f).is_ok(),
+            _ => false,
+        };
+    }
+}
+
+/// Arbitrary bytes off the socket, and real multi-frame datagrams with
+/// one mutation each (a bit flip, a truncation, or random trailing
+/// bytes): the datagram envelope and every family decoder behind it
+/// return `Ok` or `Err`, never panic.
+#[test]
+fn datagram_corruption_never_panics() {
+    for seed in SEEDS {
+        let mut rng = SimRng::from_seed(seed);
+        for _ in 0..ITERS {
+            let mut noise = vec![0u8; rng.range(0, 128) as usize];
+            rng.fill_bytes(&mut noise);
+            unpack_and_decode(&noise);
+
+            let frames: Vec<Frame> = (0..rng.range(1, 4)).map(|_| any_frame(&mut rng)).collect();
+            let mut dgram = pack_datagram(node(&mut rng), &frames);
+            let (_, back) = unpack_datagram(&dgram).expect("real datagram unpacks");
+            assert_eq!(back.len(), frames.len());
+            match rng.range(0, 3) {
+                0 => {
+                    let i = rng.range(0, dgram.len() as u64) as usize;
+                    dgram[i] ^= 1 << rng.range(0, 8);
+                }
+                1 => dgram.truncate(rng.range(0, dgram.len() as u64) as usize),
+                _ => {
+                    let mut tail = vec![0u8; rng.range(1, 16) as usize];
+                    rng.fill_bytes(&mut tail);
+                    dgram.extend_from_slice(&tail);
+                }
+            }
+            unpack_and_decode(&dgram);
         }
     }
 }
