@@ -1,6 +1,6 @@
 //! Wire-codec properties over the real protocol messages.
 //!
-//! Seeded (reproducible) round-trips across every variant of the three
+//! Seeded (reproducible) round-trips across every variant of the four
 //! wire families, rejection of truncated/trailing/misrouted frames, a
 //! no-panic sweep over corrupted frames of every family (`NET` included)
 //! and over random and mutated datagrams, and the golden frame snapshot
@@ -98,7 +98,7 @@ fn mapping(rng: &mut SimRng) -> Mapping {
 
 fn vs_msg(rng: &mut SimRng) -> VsMsg {
     let hwg = HwgId(rng.range(0, 32));
-    match rng.range(0, 18) {
+    match rng.range(0, 19) {
         0 => VsMsg::Heartbeat,
         1 => VsMsg::JoinProbe { hwg },
         2 => VsMsg::JoinOffer {
@@ -324,46 +324,38 @@ fn any_frame(rng: &mut SimRng) -> Frame {
 const SEEDS: [u64; 3] = [1, 42, 0xF00D];
 const ITERS: usize = 300;
 
-#[test]
-fn vs_frames_round_trip() {
+/// Encodes seeded messages of family `fam` and decodes them back.
+fn round_trips<T: Encode + Decode + Debug>(fam: u64, gen: fn(&mut SimRng) -> T) {
     for seed in SEEDS {
         let mut rng = SimRng::from_seed(seed);
         for _ in 0..ITERS {
-            let msg = vs_msg(&mut rng);
-            let f = encode_frame(family::VS, &msg);
-            assert_eq!(peek_family(&f), Some(family::VS));
-            let back: VsMsg = decode_frame(family::VS, &f).expect("round trip");
+            let msg = gen(&mut rng);
+            let f = encode_frame(fam, &msg);
+            assert_eq!(peek_family(&f), Some(fam));
+            let back: T = decode_frame(fam, &f).expect("round trip");
             assert_eq!(format!("{msg:?}"), format!("{back:?}"));
         }
     }
+}
+
+#[test]
+fn vs_frames_round_trip() {
+    round_trips(family::VS, vs_msg);
 }
 
 #[test]
 fn lwg_frames_round_trip() {
-    for seed in SEEDS {
-        let mut rng = SimRng::from_seed(seed);
-        for _ in 0..ITERS {
-            let msg = lwg_msg(&mut rng);
-            let f = encode_frame(family::LWG, &msg);
-            assert_eq!(peek_family(&f), Some(family::LWG));
-            let back: LwgMsg = decode_frame(family::LWG, &f).expect("round trip");
-            assert_eq!(format!("{msg:?}"), format!("{back:?}"));
-        }
-    }
+    round_trips(family::LWG, lwg_msg);
 }
 
 #[test]
 fn ns_frames_round_trip() {
-    for seed in SEEDS {
-        let mut rng = SimRng::from_seed(seed);
-        for _ in 0..ITERS {
-            let msg = ns_msg(&mut rng);
-            let f = encode_frame(family::NS, &msg);
-            assert_eq!(peek_family(&f), Some(family::NS));
-            let back: NsMsg = decode_frame(family::NS, &f).expect("round trip");
-            assert_eq!(format!("{msg:?}"), format!("{back:?}"));
-        }
-    }
+    round_trips(family::NS, ns_msg);
+}
+
+#[test]
+fn net_frames_round_trip() {
+    round_trips(family::NET, net_msg);
 }
 
 // ---------------------------------------------------------------------
@@ -373,29 +365,33 @@ fn ns_frames_round_trip() {
 /// Every field of every message is required and every variable-length
 /// structure carries an explicit length prefix, so *no strict prefix* of
 /// a valid frame is itself a valid frame.
+fn assert_prefixes_rejected<T: Encode + Decode + Debug>(fam: u64, msg: &T) {
+    let f = encode_frame(fam, msg);
+    for cut in 0..f.len() {
+        let t = Frame::copy_from_slice(&f.bytes()[..cut]);
+        assert!(
+            decode_frame::<T>(fam, &t).is_err(),
+            "prefix of len {cut}/{} of {msg:?} decoded",
+            f.len()
+        );
+    }
+}
+
+/// A valid frame with one extra byte appended fails to decode.
+fn assert_trailing_rejected<T: Encode + Decode>(fam: u64, msg: &T) {
+    let mut long = encode_frame(fam, msg).bytes().to_vec();
+    long.push(0);
+    assert!(decode_frame::<T>(fam, &Frame::from_vec(long)).is_err());
+}
+
 #[test]
 fn every_truncation_is_rejected() {
     let mut rng = SimRng::from_seed(7);
     for _ in 0..40 {
-        let f = encode_frame(family::VS, &vs_msg(&mut rng));
-        for cut in 0..f.len() {
-            let t = Frame::copy_from_slice(&f.bytes()[..cut]);
-            assert!(
-                decode_frame::<VsMsg>(family::VS, &t).is_err(),
-                "prefix of len {cut}/{} decoded",
-                f.len()
-            );
-        }
-        let f = encode_frame(family::LWG, &lwg_msg(&mut rng));
-        for cut in 0..f.len() {
-            let t = Frame::copy_from_slice(&f.bytes()[..cut]);
-            assert!(decode_frame::<LwgMsg>(family::LWG, &t).is_err());
-        }
-        let f = encode_frame(family::NS, &ns_msg(&mut rng));
-        for cut in 0..f.len() {
-            let t = Frame::copy_from_slice(&f.bytes()[..cut]);
-            assert!(decode_frame::<NsMsg>(family::NS, &t).is_err());
-        }
+        assert_prefixes_rejected(family::VS, &vs_msg(&mut rng));
+        assert_prefixes_rejected(family::LWG, &lwg_msg(&mut rng));
+        assert_prefixes_rejected(family::NS, &ns_msg(&mut rng));
+        assert_prefixes_rejected(family::NET, &net_msg(&mut rng));
     }
 }
 
@@ -403,11 +399,10 @@ fn every_truncation_is_rejected() {
 fn trailing_bytes_are_rejected() {
     let mut rng = SimRng::from_seed(8);
     for _ in 0..40 {
-        let f = encode_frame(family::VS, &vs_msg(&mut rng));
-        let mut long = f.bytes().to_vec();
-        long.push(0);
-        let t = Frame::from_vec(long);
-        assert!(decode_frame::<VsMsg>(family::VS, &t).is_err());
+        assert_trailing_rejected(family::VS, &vs_msg(&mut rng));
+        assert_trailing_rejected(family::LWG, &lwg_msg(&mut rng));
+        assert_trailing_rejected(family::NS, &ns_msg(&mut rng));
+        assert_trailing_rejected(family::NET, &net_msg(&mut rng));
     }
 }
 
@@ -511,9 +506,10 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// One fixed frame per interesting shape: every encoding primitive
-/// (varint, map, vec, tuple, option, nested payload) appears at least
-/// once, so a codec change cannot miss the snapshot.
+/// One fixed frame per message variant, plus the interesting shapes:
+/// every encoding primitive (varint, map, vec, tuple, option, nested
+/// payload) appears at least once, so a codec change cannot miss the
+/// snapshot.
 fn golden_entries() -> Vec<(&'static str, Frame)> {
     let v1 = ViewId::new(NodeId(1), 3);
     let v2 = ViewId::new(NodeId(2), 5);
@@ -530,7 +526,7 @@ fn golden_entries() -> Vec<(&'static str, Frame)> {
     };
     let mut db = MappingDb::new();
     db.set(LwgId(9), mapping.clone(), &[]);
-    vec![
+    let mut entries = vec![
         ("vs.heartbeat", encode_frame(family::VS, &VsMsg::Heartbeat)),
         (
             "vs.data",
@@ -662,12 +658,222 @@ fn golden_entries() -> Vec<(&'static str, Frame)> {
                 &NsMsg::Reply {
                     req: RequestId(11),
                     lwg: LwgId(9),
-                    mappings: vec![mapping],
+                    mappings: vec![mapping.clone()],
                 },
             ),
         ),
         ("ns.gossip", encode_frame(family::NS, &NsMsg::Gossip { db })),
-    ]
+    ];
+    // One frame for every remaining variant (and both arms of `Slot`,
+    // `FlushPurpose` and the `NewLwgView` flush option).
+    let vs = |m: VsMsg| encode_frame(family::VS, &m);
+    let lwg = |m: LwgMsg| encode_frame(family::LWG, &m);
+    let ns = |m: NsMsg| encode_frame(family::NS, &m);
+    let net = |m: NetMsg| encode_frame(family::NET, &m);
+    let hwg = HwgId(7);
+    let fid = FlushId {
+        initiator: NodeId(1),
+        nonce: 2,
+    };
+    let lfid = LFlushId {
+        initiator: NodeId(1),
+        nonce: 2,
+    };
+    let seqs = BTreeMap::from([(NodeId(1), 4), (NodeId(2), 7)]);
+    entries.extend([
+        ("vs.join_probe", vs(VsMsg::JoinProbe { hwg })),
+        ("vs.join_offer", vs(VsMsg::JoinOffer { hwg, view_id: v2 })),
+        ("vs.join_req", vs(VsMsg::JoinReq { hwg })),
+        ("vs.leave_req", vs(VsMsg::LeaveReq { hwg })),
+        (
+            "vs.flush_req",
+            vs(VsMsg::FlushReq {
+                hwg,
+                view_id: v1,
+                flush: fid,
+                proposed: view.members.clone(),
+                purpose: FlushPurpose::ViewChange,
+            }),
+        ),
+        (
+            "vs.flush_req.merge",
+            vs(VsMsg::FlushReq {
+                hwg,
+                view_id: v1,
+                flush: fid,
+                proposed: view.members.clone(),
+                purpose: FlushPurpose::Merge { leader: NodeId(2) },
+            }),
+        ),
+        (
+            "vs.flush_target",
+            vs(VsMsg::FlushTarget {
+                hwg,
+                flush: fid,
+                target: seqs.clone(),
+            }),
+        ),
+        (
+            "vs.flush_pull",
+            vs(VsMsg::FlushPull {
+                hwg,
+                flush: fid,
+                wants: vec![(NodeId(3), 5)],
+            }),
+        ),
+        (
+            "vs.flush_fill",
+            vs(VsMsg::FlushFill {
+                hwg,
+                view_id: v1,
+                sender: NodeId(3),
+                seq: 5,
+                payload: Slot::Full(Frame::from_vec(vec![0x55])),
+            }),
+        ),
+        ("vs.flush_done", vs(VsMsg::FlushDone { hwg, flush: fid })),
+        (
+            "vs.nack",
+            vs(VsMsg::Nack {
+                hwg,
+                view_id: v1,
+                sender: NodeId(2),
+                missing: vec![3, 300],
+            }),
+        ),
+        (
+            "vs.stability",
+            vs(VsMsg::Stability {
+                hwg,
+                view_id: v1,
+                prefix: seqs,
+            }),
+        ),
+        ("vs.beacon", vs(VsMsg::Beacon { hwg, view_id: v2 })),
+        (
+            "vs.merge_ready",
+            vs(VsMsg::MergeReady {
+                hwg,
+                view: view.clone(),
+            }),
+        ),
+        (
+            "vs.merge_nack",
+            vs(VsMsg::MergeNack {
+                hwg,
+                invitee_view: v1,
+            }),
+        ),
+        ("lwg.join_req", lwg(LwgMsg::JoinReq { lwg: LwgId(3) })),
+        ("lwg.leave_req", lwg(LwgMsg::LeaveReq { lwg: LwgId(3) })),
+        (
+            "lwg.flush",
+            lwg(LwgMsg::Flush {
+                lwg: LwgId(3),
+                flush: lfid,
+                members: vec![NodeId(1), NodeId(2)],
+            }),
+        ),
+        (
+            "lwg.flush_ok",
+            lwg(LwgMsg::FlushOk {
+                lwg: LwgId(3),
+                flush: lfid,
+            }),
+        ),
+        (
+            "lwg.new_lwg_view.no_flush",
+            lwg(LwgMsg::NewLwgView {
+                lwg: LwgId(3),
+                flush: None,
+                view: view.clone(),
+                hwg,
+            }),
+        ),
+        (
+            "lwg.switch_to",
+            lwg(LwgMsg::SwitchTo {
+                lwg: LwgId(3),
+                flush: lfid,
+                to: HwgId(8),
+                members: vec![NodeId(1), NodeId(2)],
+            }),
+        ),
+        (
+            "lwg.switch_ready",
+            lwg(LwgMsg::SwitchReady {
+                lwg: LwgId(3),
+                flush: lfid,
+            }),
+        ),
+        ("lwg.merge_views", lwg(LwgMsg::MergeViews)),
+        (
+            "lwg.all_views",
+            lwg(LwgMsg::AllViews {
+                views: vec![(LwgId(3), view)],
+            }),
+        ),
+        (
+            "lwg.dissolved",
+            lwg(LwgMsg::Dissolved {
+                lwg: LwgId(3),
+                flush: lfid,
+            }),
+        ),
+        (
+            "ns.read",
+            ns(NsMsg::Read {
+                req: RequestId(12),
+                lwg: LwgId(9),
+            }),
+        ),
+        (
+            "ns.test_set",
+            ns(NsMsg::TestSet {
+                req: RequestId(13),
+                lwg: LwgId(9),
+                mapping: mapping.clone(),
+                preds: vec![],
+            }),
+        ),
+        (
+            "ns.unset",
+            ns(NsMsg::Unset {
+                req: RequestId(14),
+                lwg: LwgId(9),
+                lwg_view: v1,
+            }),
+        ),
+        (
+            "ns.multiple_mappings",
+            ns(NsMsg::MultipleMappings {
+                lwg: LwgId(9),
+                mappings: vec![
+                    mapping.clone(),
+                    Mapping {
+                        hwg: HwgId(8),
+                        ..mapping
+                    },
+                ],
+            }),
+        ),
+        ("net.hello", net(NetMsg::Hello { node: NodeId(1) })),
+        ("net.alive", net(NetMsg::Alive { node: NodeId(2) })),
+        ("net.bye", net(NetMsg::Bye { node: NodeId(4) })),
+        (
+            "net.block",
+            net(NetMsg::Block {
+                peers: vec![NodeId(2), NodeId(4)],
+            }),
+        ),
+        (
+            "net.unblock",
+            net(NetMsg::Unblock {
+                peers: vec![NodeId(2)],
+            }),
+        ),
+    ]);
+    entries
 }
 
 #[test]
@@ -707,6 +913,7 @@ fn golden_frames_still_decode() {
             family::VS => decode_frame::<VsMsg>(fam, &frame).is_ok(),
             family::NS => decode_frame::<NsMsg>(fam, &frame).is_ok(),
             family::LWG => decode_frame::<LwgMsg>(fam, &frame).is_ok(),
+            family::NET => decode_frame::<NetMsg>(fam, &frame).is_ok(),
             _ => false,
         };
         assert!(ok, "golden frame {label} no longer decodes");
