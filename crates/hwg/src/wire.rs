@@ -1,56 +1,19 @@
 //! Wire codecs for the substrate vocabulary types.
 //!
-//! `plwg-wire` owns the primitive encoding (varints, length prefixes,
-//! containers); each crate encodes its own types. The identifiers and views
-//! defined here appear inside the frames of *every* layer above (vsync
-//! control messages, naming records, LWG batches), so their codecs live at
-//! this shared level.
+//! The identifiers and views defined here appear inside the frames of
+//! *every* layer above (vsync control messages, naming records, LWG
+//! batches), so their codecs live at this shared level. The identifiers
+//! are declared with `wire_struct!`; [`View`]'s decoder is hand-written
+//! because it rejects an empty or duplicated membership.
 
 use crate::id::{FlushId, HwgId, ViewId};
 use crate::view::View;
 use plwg_sim::{Decode, Encode, NodeId, Reader, WireError};
+use plwg_wire::wire_struct;
 
-impl Encode for HwgId {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-    }
-}
-
-impl Decode for HwgId {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(HwgId(u64::decode_from(r)?))
-    }
-}
-
-impl Encode for ViewId {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.coordinator.encode_into(out);
-        self.seq.encode_into(out);
-    }
-}
-
-impl Decode for ViewId {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let coordinator = NodeId::decode_from(r)?;
-        let seq = u64::decode_from(r)?;
-        Ok(ViewId { coordinator, seq })
-    }
-}
-
-impl Encode for FlushId {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.initiator.encode_into(out);
-        self.nonce.encode_into(out);
-    }
-}
-
-impl Decode for FlushId {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let initiator = NodeId::decode_from(r)?;
-        let nonce = u64::decode_from(r)?;
-        Ok(FlushId { initiator, nonce })
-    }
-}
+wire_struct!(HwgId(_));
+wire_struct!(ViewId { coordinator, seq });
+wire_struct!(FlushId { initiator, nonce });
 
 impl Encode for View {
     fn encode_into(&self, out: &mut Vec<u8>) {

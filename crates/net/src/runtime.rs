@@ -155,10 +155,7 @@ impl NetRuntime {
                 continue;
             }
             match self.socket.recv_from(&mut buf) {
-                Ok((n, addr)) => {
-                    let dgram = buf[..n].to_vec();
-                    self.on_datagram(p, &dgram, addr);
-                }
+                Ok((n, addr)) => self.on_datagram(p, &buf[..n], addr),
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut => {}

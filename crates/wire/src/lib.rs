@@ -6,15 +6,24 @@
 //! its messages on the wire. This crate knows nothing about the protocols
 //! themselves — each crate implements the codec for the message types it
 //! owns (`plwg-vsync` for `VsMsg`, `plwg-naming` for `NsMsg`, `plwg-core`
-//! for `LwgMsg`) — it only fixes the *frame discipline* they share:
+//! for `LwgMsg`, `plwg-net` for `NetMsg`) — it only fixes the *frame
+//! discipline* they share:
 //!
 //! ```text
 //! frame := family-tag:varint body
-//! body  := variant-tag:varint field*          (per message enum)
+//! body  := variant-tag:u8 field*              (per message enum)
 //! field := varint | byte | len:varint bytes   (nested frames are
 //!                                              length-prefixed and decode
 //!                                              as zero-copy sub-slices)
 //! ```
+//!
+//! Layouts are declared, not hand-written: [`wire_enum!`] and
+//! [`wire_struct!`] generate both directions of a message's codec from
+//! one statement listing its tags and fields in wire order. Three decoders
+//! stay hand-written because they re-check invariants the wire cannot
+//! carry: `View` (`plwg-hwg`) rejects an empty or duplicated membership,
+//! and `LwgEntry` / `MappingDb` (`plwg-naming`) re-apply tombstones and
+//! rebuild the derived `multi` index.
 //!
 //! Decoding never panics and never copies payload bytes: a nested frame
 //! read via [`Reader::read_frame`] shares the incoming allocation, so a
@@ -28,6 +37,7 @@
 #![warn(missing_docs)]
 
 mod codec;
+mod derive;
 mod frame;
 
 pub use codec::{
