@@ -13,6 +13,9 @@ pub const NETIO_DGRAM_RX: CounterKey = CounterKey::new("netio.dgram_rx");
 /// Received datagrams that failed to unpack, plus transport-family frames
 /// that failed to decode; both are dropped.
 pub const NETIO_DECODE_ERRORS: CounterKey = CounterKey::new("netio.decode_errors");
+/// Failed socket receives (`recv_from` errors), counted by the reactor;
+/// whatever datagram was lost to the error is not seen at all.
+pub const NETIO_RECV_ERRORS: CounterKey = CounterKey::new("netio.recv_errors");
 /// Encoded datagram bytes put on the wire.
 pub const NETIO_BYTES_TX: CounterKey = CounterKey::new("netio.bytes_tx");
 /// Datagrams discarded by the runtime itself: sends to or receipts from a

@@ -18,9 +18,9 @@
 //! * [`PeerPool`] — hello/alive/bye connection lifecycle, bounded
 //!   per-peer send queues (drop-newest-and-count backpressure) and the
 //!   heartbeat failure detector, as a socket-free state machine.
-//! * [`NetRuntime`] — the poll-based reactor that owns the socket and
-//!   timer heap and hosts any [`Process`](plwg_sim::Process): an
-//!   `LwgNode`, a `NameServer`, or both.
+//! * [`NetRuntime`] — the reactor that owns the socket, its receive
+//!   thread and the timer heap, and hosts any
+//!   [`Process`](plwg_sim::Process): an `LwgNode`, a `NameServer`, or both.
 //! * [`NetSubstrate`] — the real-socket [`HwgSubstrate`](plwg_hwg::HwgSubstrate):
 //!   `VsyncStack` itself, unchanged, hosted by a [`NetRuntime`].
 //! * [`harness`] — spawn child processes, exchange address books over

@@ -1,12 +1,19 @@
-//! The poll-based reactor: one UDP socket, one timer heap, one process.
+//! The reactor: one UDP socket, one timer heap, one protocol thread.
 //!
 //! [`NetRuntime`] is the real-network counterpart of the simulator's
-//! per-node context. It owns a non-blocking-style UDP socket (poll with a
-//! deadline-driven read timeout — the single-fd equivalent of `poll(2)`),
-//! a monotone [`WallClock`], a binary-heap timer wheel and the
-//! [`PeerPool`] lifecycle machine, and it lends itself to the hosted
-//! [`Process`] as `&mut dyn Transport` — so the vsync/naming/LWG stack
-//! runs over it unchanged.
+//! per-node context. It owns a UDP socket, a monotone [`WallClock`], a
+//! binary-heap timer wheel and the [`PeerPool`] lifecycle machine, and it
+//! lends itself to the hosted [`Process`] as `&mut dyn Transport` — so
+//! the vsync/naming/LWG stack runs over it unchanged.
+//!
+//! The socket has two users. A reader thread, spawned by
+//! [`NetRuntime::bind`], blocks in `recv_from` on a clone of the socket,
+//! unpacks each datagram and queues it on a bounded channel; it only moves
+//! bytes. Everything else — sends, timers, the pool and every protocol
+//! callback — runs on the thread that calls [`NetRuntime::run_for`].
+//! Waiting on the channel rather than on the socket makes the wait as
+//! precise as the OS scheduler: a socket read timeout is counted in kernel
+//! ticks and would round every timer and short deadline up to one.
 //!
 //! The reactor turn is: deliver self-sends → fire due timers → service
 //! the peer pool (heartbeats, hellos, suspicion) → wait for a datagram
@@ -25,27 +32,46 @@ use crate::clock::WallClock;
 use crate::events::NetEvent;
 use crate::keys::{
     NETIO_BYTES_TX, NETIO_DECODE_ERRORS, NETIO_DGRAM_RX, NETIO_DGRAM_TX, NETIO_DROPPED,
-    NETIO_PEERS_UP, NETIO_QUEUE_DROPPED,
+    NETIO_PEERS_UP, NETIO_QUEUE_DROPPED, NETIO_RECV_ERRORS,
 };
 use crate::msg::{net_frame, pack_datagram, unpack_datagram, NetMsg};
 use crate::peer::{NetOptions, PeerPool, PeerState, PoolAction};
 use plwg_sim::{
     family, peek_family, Clock, MetricsRegistry, NodeId, Payload, Process, SimDuration, SimTime,
-    TimerToken, Trace, Transport, TransportExt,
+    TimerToken, Trace, Transport, TransportExt, WireError,
 };
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, ToSocketAddrs, UdpSocket};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::thread::{self, JoinHandle};
+use std::time::Duration;
 
-/// Longest single socket wait; bounds how stale pool maintenance can get.
+/// Longest single wait for a datagram; bounds how stale pool maintenance
+/// can get.
 const MAX_POLL: SimDuration = SimDuration::from_millis(25);
+
+/// Datagrams the reader may queue ahead of the reactor (the peer send
+/// queue's default depth). A full inbox blocks the reader, so overflow
+/// lands in the kernel's receive buffer, as it would with no reader.
+const INBOX_DATAGRAMS: usize = 1024;
+
+/// What the reader thread hands the reactor.
+enum Inbound {
+    /// A datagram from `addr`, unpacked — or the reason it would not unpack.
+    Datagram(SocketAddr, Result<(NodeId, Vec<Payload>), WireError>),
+    /// `recv_from` failed.
+    RecvError,
+}
 
 /// The real-socket runtime hosting one protocol [`Process`].
 pub struct NetRuntime {
     me: NodeId,
     clock: WallClock,
     socket: UdpSocket,
+    inbox: Receiver<Inbound>,
+    reader: Option<JoinHandle<()>>,
     book: BTreeMap<NodeId, SocketAddr>,
     pool: PeerPool,
     timers: BinaryHeap<Reverse<(u64, u64, u64)>>,
@@ -65,10 +91,17 @@ impl NetRuntime {
         opts.validate()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let socket = UdpSocket::bind(addr)?;
+        let (tx, inbox) = mpsc::sync_channel(INBOX_DATAGRAMS);
+        let reader_socket = socket.try_clone()?;
+        let reader = thread::Builder::new()
+            .name(format!("plwg-net-rx-{}", me.0))
+            .spawn(move || read_loop(&reader_socket, &tx))?;
         Ok(NetRuntime {
             me,
             clock: WallClock::start(),
             socket,
+            inbox,
+            reader: Some(reader),
             book: BTreeMap::new(),
             pool: PeerPool::new(me, opts),
             timers: BinaryHeap::new(),
@@ -133,7 +166,6 @@ impl NetRuntime {
             p.on_start(self);
         }
         let deadline = self.clock.now().checked_add(dur).unwrap_or(SimTime::MAX);
-        let mut buf = vec![0u8; 65_536];
         loop {
             self.deliver_local(p);
             self.fire_timers(p);
@@ -146,22 +178,15 @@ impl NetRuntime {
             if let Some(&Reverse((due, _, _))) = self.timers.peek() {
                 next = next.min(SimTime::from_micros(due));
             }
-            let wait = next.saturating_since(now);
-            let wait_us = wait.as_micros().clamp(1, MAX_POLL.as_micros());
-            let timeout = Some(std::time::Duration::from_micros(wait_us));
-            if self.socket.set_read_timeout(timeout).is_err() {
-                // Same pause as a transient receive error below.
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                continue;
-            }
-            match self.socket.recv_from(&mut buf) {
-                Ok((n, addr)) => self.on_datagram(p, &buf[..n], addr),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut => {}
-                // Transient socket errors (e.g. ICMP-induced) are treated
-                // as loss, with a pause so a persistent fault cannot spin.
-                Err(_) => std::thread::sleep(std::time::Duration::from_millis(1)),
+            let wait = next.saturating_since(now).min(MAX_POLL);
+            let wait = Duration::from_micros(wait.as_micros());
+            match self.inbox.recv_timeout(wait) {
+                Ok(Inbound::Datagram(addr, unpacked)) => self.on_datagram(p, unpacked, addr),
+                Ok(Inbound::RecvError) => self.metrics.incr(NETIO_RECV_ERRORS),
+                Err(RecvTimeoutError::Timeout) => {}
+                // The reader only exits once the inbox is gone; should it
+                // die anyway, keep the deadline without spinning.
+                Err(RecvTimeoutError::Disconnected) => thread::sleep(wait),
             }
         }
     }
@@ -262,8 +287,13 @@ impl NetRuntime {
         }
     }
 
-    fn on_datagram(&mut self, p: &mut dyn Process, buf: &[u8], addr: SocketAddr) {
-        let Ok((from, frames)) = unpack_datagram(buf) else {
+    fn on_datagram(
+        &mut self,
+        p: &mut dyn Process,
+        unpacked: Result<(NodeId, Vec<Payload>), WireError>,
+        addr: SocketAddr,
+    ) {
+        let Ok((from, frames)) = unpacked else {
             self.metrics.incr(NETIO_DECODE_ERRORS);
             return;
         };
@@ -313,6 +343,49 @@ impl NetRuntime {
                 }
             }
         }
+    }
+}
+
+/// The reader thread: moves datagrams from the socket to the inbox until
+/// the inbox is dropped. One receive buffer serves every datagram; each is
+/// copied once, by `unpack_datagram`.
+fn read_loop(socket: &UdpSocket, inbox: &SyncSender<Inbound>) {
+    let mut buf = vec![0u8; 65_536];
+    loop {
+        let item = match socket.recv_from(&mut buf) {
+            Ok((n, addr)) => Inbound::Datagram(addr, unpack_datagram(&buf[..n])),
+            // Pause, so a persistent fault cannot spin.
+            Err(_) => {
+                thread::sleep(Duration::from_millis(1));
+                Inbound::RecvError
+            }
+        };
+        if inbox.send(item).is_err() {
+            return;
+        }
+    }
+}
+
+impl Drop for NetRuntime {
+    /// Stops and joins the reader, so the address is free once this returns.
+    fn drop(&mut self) {
+        let Some(reader) = self.reader.take() else {
+            return;
+        };
+        // Dropping the inbox is the stop signal: it frees a reader blocked
+        // on a full inbox, and makes its next hand-off fail. A reader
+        // parked in `recv_from` needs one more datagram to get there.
+        self.inbox = mpsc::sync_channel(0).1;
+        if let Ok(mut addr) = self.socket.local_addr() {
+            if addr.ip().is_unspecified() {
+                addr.set_ip(match addr {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = self.socket.send_to(&[], addr);
+        }
+        let _ = reader.join();
     }
 }
 
@@ -379,6 +452,8 @@ mod tests {
     struct Recorder {
         got: Vec<(NodeId, Vec<u8>)>,
         fired: Vec<TimerToken>,
+        /// `ctx.now()` at every callback, in order.
+        at: Vec<SimTime>,
     }
 
     impl Recorder {
@@ -386,16 +461,19 @@ mod tests {
             Recorder {
                 got: Vec::new(),
                 fired: Vec::new(),
+                at: Vec::new(),
             }
         }
     }
 
     impl Process for Recorder {
-        fn on_message(&mut self, _ctx: &mut dyn Transport, from: NodeId, msg: Payload) {
+        fn on_message(&mut self, ctx: &mut dyn Transport, from: NodeId, msg: Payload) {
             self.got.push((from, msg.bytes().to_vec()));
+            self.at.push(ctx.now());
         }
-        fn on_timer(&mut self, _ctx: &mut dyn Transport, token: TimerToken) {
+        fn on_timer(&mut self, ctx: &mut dyn Transport, token: TimerToken) {
             self.fired.push(token);
+            self.at.push(ctx.now());
         }
         fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
             self
@@ -428,6 +506,64 @@ mod tests {
         assert!(p.fired.is_empty(), "old deadline must not fire");
         rt.run_for(&mut p, SimDuration::from_millis(30));
         assert_eq!(p.fired, vec![TimerToken(7)]);
+    }
+
+    #[test]
+    fn short_waits_are_not_rounded_up_to_a_kernel_tick() {
+        let mut rt = rt(0);
+        let mut p = Recorder::new();
+        let t0 = rt.now();
+        for _ in 0..50 {
+            rt.run_for(&mut p, SimDuration::from_millis(1));
+        }
+        let took = rt.now().saturating_since(t0);
+        assert!(
+            took < SimDuration::from_millis(250),
+            "50 x run_for(1 ms) took {} us",
+            took.as_micros()
+        );
+    }
+
+    #[test]
+    fn a_short_timer_fires_when_due() {
+        let mut rt = rt(0);
+        let mut p = Recorder::new();
+        let t0 = rt.now();
+        rt.set_timer(SimDuration::from_millis(2), TimerToken(1));
+        rt.run_for(&mut p, SimDuration::from_millis(20));
+        assert_eq!(p.fired, vec![TimerToken(1)]);
+        let after = p.at[0].saturating_since(t0);
+        assert!(after >= SimDuration::from_millis(2), "fired early");
+        assert!(
+            after < SimDuration::from_millis(6),
+            "a 2 ms timer fired after {} us",
+            after.as_micros()
+        );
+    }
+
+    #[test]
+    fn a_datagram_ends_a_long_wait_at_once() {
+        let mut rt = rt(2);
+        let addr = rt.local_addr().expect("addr");
+        let clock = rt.clock.clone();
+        let sender = thread::spawn(move || {
+            let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
+            thread::sleep(Duration::from_millis(50));
+            let dgram = pack_datagram(NodeId(1), &[Payload::copy_from_slice(&[42])]);
+            let sent = clock.now();
+            sock.send_to(&dgram, addr).expect("send");
+            sent
+        });
+        let mut p = Recorder::new();
+        rt.run_for(&mut p, SimDuration::from_millis(200));
+        let sent = sender.join().expect("sender thread");
+        assert_eq!(p.got, vec![(NodeId(1), vec![42])]);
+        let latency = p.at[0].saturating_since(sent);
+        assert!(
+            latency < SimDuration::from_millis(20),
+            "delivered {} us after the send",
+            latency.as_micros()
+        );
     }
 
     #[test]

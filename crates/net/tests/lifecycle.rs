@@ -1,6 +1,6 @@
 //! Peer-lifecycle integration over real loopback sockets: connection
 //! establishment, backpressure, the failure detector, partition control
-//! frames, and the trace evidence each of them leaves.
+//! frames, teardown, and the trace evidence each of them leaves.
 //!
 //! These tests also pin the net layer's event vocabulary: every
 //! `NetEvent` kind — `net.peer.up`, `net.peer.down`, `net.queue.drop`,
@@ -12,6 +12,10 @@ use plwg_net::keys::{
 use plwg_net::{pack_datagram, NetOptions, NetRuntime, PeerState};
 use plwg_sim::{family, Frame, NodeId, Payload, Process, SimDuration, Transport};
 use std::net::UdpSocket;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread;
+use std::time::Duration;
 
 /// A process that records payload bytes and answers nothing.
 struct Sink {
@@ -207,4 +211,44 @@ fn undecodable_transport_frame_is_counted_and_its_neighbours_delivered() {
     assert_eq!(a.registry().counter(NETIO_DECODE_ERRORS), 1);
     assert_eq!(a.registry().counter(NETIO_DGRAM_RX), 1);
     assert_eq!(pa.got, vec![b"app".to_vec()]);
+}
+
+#[test]
+fn drop_joins_the_reader_and_frees_the_address() {
+    for bind_to in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let rt = NetRuntime::bind(NodeId(1), bind_to, NetOptions::default()).expect("bind");
+        let addr = rt.local_addr().expect("addr");
+        drop(rt);
+        UdpSocket::bind(addr).expect("the address is free once the runtime is gone");
+    }
+}
+
+#[test]
+fn drop_does_not_hang_while_a_peer_keeps_sending() {
+    let rt = NetRuntime::bind(NodeId(1), "127.0.0.1:0", NetOptions::default()).expect("bind");
+    let addr = rt.local_addr().expect("addr");
+    let stop = Arc::new(AtomicBool::new(false));
+    let flood = {
+        let stop = Arc::clone(&stop);
+        thread::spawn(move || {
+            let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
+            let dgram = pack_datagram(NodeId(9), &[Payload::copy_from_slice(&[42])]);
+            while !stop.load(Ordering::Relaxed) {
+                let _ = sock.send_to(&dgram, addr);
+            }
+        })
+    };
+    // The runtime never runs, so its inbox fills and the reader blocks
+    // handing off a datagram.
+    thread::sleep(Duration::from_millis(100));
+    let (done_tx, done_rx) = mpsc::channel();
+    let dropper = thread::spawn(move || {
+        drop(rt);
+        let _ = done_tx.send(());
+    });
+    let dropped = done_rx.recv_timeout(Duration::from_secs(5));
+    stop.store(true, Ordering::Relaxed);
+    flood.join().expect("flood thread");
+    assert!(dropped.is_ok(), "dropping the runtime hung");
+    dropper.join().expect("drop thread");
 }

@@ -18,7 +18,7 @@
 //!   reconciliation and MULTIPLE-MAPPINGS callbacks;
 //! * [`core`] — the light-weight group service itself (mapping policies,
 //!   switching, and the four-step partition-heal procedure);
-//! * [`net`] — the real-socket substrate: a poll-based UDP reactor and
+//! * [`net`] — the real-socket substrate: a UDP reactor and
 //!   multi-process harness running the same stack over actual datagrams
 //!   (`cargo run --example partition_heal_net`);
 //! * [`workload`] — experiment workloads and runners regenerating the
